@@ -165,7 +165,11 @@ format_option = click.option(
     show_default=True,
 )
 threads_option = click.option(
-    "--threads", type=int, default=1, show_default=True, help="worker processes."
+    "--threads",
+    type=int,
+    default=1,
+    show_default=True,
+    help="accepted for compatibility and ignored: every computation runs in one process.",
 )
 budget_option = click.option(
     "--max-generators",
@@ -331,14 +335,12 @@ def cmd_kappa(pd_file, braid, catalog_name, template_file, mirror_flag, n_range,
     try:
         if n_range is not None:
             lo, hi = _parse_range(n_range)
-            family = compute_family(template, (lo, hi), threads=threads, max_generators=max_generators)
+            family = compute_family(template, (lo, hi), max_generators=max_generators)
             profile = find_transition(family)
             table = compute_kappa(family, profile)
             run = KappaRun(family, profile, table)
         else:
-            run = kappa_for_template(
-                template, hint=hint, threads=threads, max_generators=max_generators
-            )
+            run = kappa_for_template(template, hint=hint, max_generators=max_generators)
     except _ERRORS as exc:
         raise _fail(exc)
 
@@ -401,7 +403,7 @@ def cmd_selftest(deep, threads, max_generators):
                 continue
             checks += 1
             try:
-                got = _fixture_value(entry, fixture.quantity, catalog, cache, threads, max_generators)
+                got = _fixture_value(entry, fixture.quantity, catalog, cache, max_generators)
             except _ERRORS as exc:
                 got = f"error: {exc}"
             ok = got == fixture.value
@@ -419,7 +421,6 @@ def _fixture_value(
     quantity: str,
     catalog: Dict[str, CatalogEntry],
     cache: Dict[str, object],
-    threads: int,
     max_generators: int,
 ):
     def diagram() -> PlanarDiagram:
@@ -438,7 +439,6 @@ def _fixture_value(
             cache["kappa"] = kappa_for_template(
                 template,
                 hint=entry.transition_hint or 0,
-                threads=threads,
                 max_generators=max_generators,
             )
         return cache["kappa"]

@@ -19,6 +19,12 @@ circles).
 The sweep computes the unreduced theory; reduced groups are recovered at the
 end by dividing off the free rank-two circle factor, which is an exact
 operation over GF(2).
+
+A tangle template is swept by ``template_word``, which stops with the
+hole's four ends on the frontier.  The complex there is the template's
+four-ended tangle complex: each integer fill continues it with one twist
+crossing per half-twist and closes it with two cups, so a whole twist family
+shares one sweep of the template (``kappa._TwistFamily``).
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .diagram import DiagramError, PlanarDiagram
 from .khovanov import DEFAULT_MAX_GENERATORS, BudgetError
+from .tangles import TangleTemplate, fill
 
 Matching = Tuple[int, ...]
 Event = Tuple
@@ -378,6 +385,15 @@ class _ScanComplex:
         self.next_id = 1
         self.max_objects = max_objects
 
+    def copy(self) -> "_ScanComplex":
+        """An independent complex with the same objects and differential."""
+        cx = _ScanComplex(self.max_objects)
+        cx.obj = dict(self.obj)
+        cx.out = {a: {b: set(ms) for b, ms in row.items()} for a, row in self.out.items()}
+        cx.in_ = {b: set(srcs) for b, srcs in self.in_.items()}
+        cx.next_id = self.next_id
+        return cx
+
     # -- plumbing
 
     def _new_obj(self, m: Matching, h: int, q: int) -> int:
@@ -587,7 +603,12 @@ def run_events(
     cx = _ScanComplex(max_generators)
     for ev in events:
         cx.apply(ev)
-    raw = cx.table()
+    return _shift_gradings(cx.table(), n_plus, n_minus)
+
+
+def _shift_gradings(
+    raw: Dict[Tuple[int, int], int], n_plus: int, n_minus: int
+) -> Dict[Tuple[int, int], int]:
     return {
         (h - n_minus, q + n_plus - 2 * n_minus): dim
         for (h, q), dim in raw.items()
@@ -615,6 +636,18 @@ def compile_events(d: PlanarDiagram) -> List[Event]:
 
     Raises DiagramError when no sweep is found (wildly tangled inputs); every
     diagram produced by the builders in this package compiles.
+    """
+    return _search_sweep(d)
+
+
+def _search_sweep(
+    d: PlanarDiagram, seeds: Optional[Sequence[Tuple]] = None, cap: Optional[int] = None
+) -> List[Event]:
+    """The depth-first sweep search of ``compile_events``.
+
+    ``seeds`` replaces the candidates for the first crossing attached, and
+    ``cap`` prunes every attachment whose events would make the frontier
+    wider than ``cap`` strands.
     """
     n = len(d.crossings)
     if n == 0:
@@ -651,6 +684,8 @@ def compile_events(d: PlanarDiagram) -> List[Event]:
         return f, ev
 
     def candidates(frontier: List[int], done: int) -> List[Tuple]:
+        if seeds is not None and not done:
+            return list(seeds)
         out = []
         for ci in range(n):
             if done >> ci & 1:
@@ -686,6 +721,8 @@ def compile_events(d: PlanarDiagram) -> List[Event]:
             raise DiagramError("no planar sweep found (search budget exhausted)")
         scored = []
         for cand in candidates(frontier, done):
+            if cap is not None and _attach_width(len(frontier), cand[1]) > cap:
+                continue
             f2, ev2 = attach(frontier, events, cand)
             scored.append((len(f2), cand[0], cand[1], cand[2], cand[3], f2, ev2))
         # narrowest frontier first, then stored order: builders emit crossings
@@ -704,6 +741,90 @@ def compile_events(d: PlanarDiagram) -> List[Event]:
     if res is None:
         raise DiagramError("no planar sweep found for this diagram")
     return res
+
+
+def _attach_width(width: int, mode: int) -> int:
+    """Widest frontier while a crossing is attached in ``mode`` (before cups)."""
+    if mode == 0:
+        return 4
+    return width if mode == 1 else width + 2
+
+
+def _widths(events: Sequence[Event], start: int = 0) -> List[int]:
+    """Frontier width before each event, then after the last one."""
+    out = [start]
+    for ev in events:
+        out.append(out[-1] + {"cap": 2, "cup": -2, "cross": 0}[ev[0]])
+    return out
+
+
+def peak_width(events: Sequence[Event]) -> int:
+    """The widest frontier an event word sweeps through."""
+    return max(_widths(events))
+
+
+def _turn(events: Sequence[Event], start: int) -> List[Event]:
+    """The same sweep turned through 180 degrees: run backwards, mirrored.
+
+    ``start`` is the frontier width before ``events``; the turned word ends
+    at that width.  A crossing keeps its type, since the half turn is a
+    planar isotopy and maps each smoothing to itself.
+    """
+    widths = _widths(events, start)
+    out: List[Event] = []
+    for ev, w in zip(reversed(events), reversed(widths[:-1])):
+        if ev[0] == "cap":
+            out.append(("cup", w - ev[1]))
+        elif ev[0] == "cup":
+            out.append(("cap", w - 2 - ev[1]))
+        else:
+            out.append(("cross", w - 2 - ev[1], ev[2]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# template words: a twist family from one sweep
+
+# After ``template_word`` the frontier holds the hole's four ends, and the
+# twist corridor of the fills runs between positions 2 and 3.  One more
+# half-twist of sign s is the crossing ``TWIST[s]``; the cups ``CLOSE`` shut
+# the hole with the identity tangle.  So the word of fill n is the template
+# word, ``TWIST[sign(n)]`` repeated |n| times, then ``CLOSE``.
+TWIST = {1: ("cross", 2, True), -1: ("cross", 2, False)}
+CLOSE = (("cup", 1), ("cup", 0))
+
+
+def template_word(template: TangleTemplate) -> List[Event]:
+    """Sweep of a template's crossings that stops at the hole's four ends.
+
+    The search runs on fill 1 and attaches its one insert crossing first,
+    in the rotation that puts the twist corridor at the pair the crossing
+    consumes; turning that word through 180 degrees moves the insert
+    crossing to the end, where it reads ``TWIST[1]`` then ``CLOSE``.
+
+    A sweep that starts at the hole can wander through much wider frontiers
+    than one that starts anywhere, and the sweep's cost grows steeply with
+    the width.  So every attachment is capped, first at the peak width of
+    ``compile_events`` on fill 1, and the cap widens two strands at a time
+    only when no word fits under it.  On the short symmetric plat words
+    (SymmetricPlat(3, w), len(w) <= 4) the cap widens for 20 of 1555, never
+    past the peak of ``compile_events`` on fill 2.
+    """
+    d = fill(template, 1)
+    insert = len(template.crossings)
+    # rotations 1 and 3 consume one end of each strand of the corridor: the
+    # insert crossing's arcs run (SE, NE, NW, SW) or, reoriented, (NW, SW,
+    # SE, NE), and the corridor pairs NW with NE and SW with SE
+    seeds = [(insert, 0, 0, 1), (insert, 0, 0, 3)]
+    # a frontier never holds more than the 2n arcs, plus 2 while attaching
+    for cap in range(peak_width(compile_events(d)), 2 * len(d.crossings) + 3, 2):
+        try:
+            word = _search_sweep(d, seeds=seeds, cap=cap)
+        except DiagramError:
+            continue
+        # the word opens with the seed: cap 0, cap 1, ("cross", 0, True)
+        return _turn(word[3:], 4)
+    raise DiagramError(f"no sweep of {template.name!r} ends at its hole")
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +860,20 @@ def divide_unit_circle(entries: Dict[Tuple[int, int], int]) -> Dict[Tuple[int, i
         if prev:
             raise ArithmeticError("nonzero remainder dividing by the circle factor")
     return out
+
+
+def reduced_dims(
+    raw: Dict[Tuple[int, int], int], n_plus: int, n_minus: int, free_loops: int = 0
+) -> Dict[Tuple[int, int], int]:
+    """Reduced dims of a closed sweep, from ``_ScanComplex.table`` of its word.
+
+    ``n_plus``/``n_minus`` are the diagram's crossing counts and
+    ``free_loops`` its crossingless circles, which the word does not sweep.
+    """
+    entries = _shift_gradings(raw, n_plus, n_minus)
+    for _ in range(free_loops):
+        entries = _tensor_unit_circle(entries)
+    return divide_unit_circle(entries)
 
 
 def scan_unreduced_kh(

@@ -5,13 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotfill.diagram import DiagramError
-from knotfill.khovanov import BudgetError, KhTable, kh_table
+from knotfill.khovanov import (
+    CUBE_CROSSING_LIMIT,
+    DEFAULT_MAX_GENERATORS,
+    BudgetError,
+    KhTable,
+    kh_table,
+)
 from knotfill.kappa import (
     INJECTIVE,
     SURJECTIVE,
     StepError,
     TransitionError,
     _family_from_tables,
+    _family_signs,
+    _TwistFamily,
     classify_steps,
     compute_family,
     compute_kappa,
@@ -26,7 +34,8 @@ from knotfill.symmetric import (
     braid_quotient_template,
     quotient_template,
 )
-from knotfill.tangles import fill
+from knotfill.scan import compile_events, peak_width, template_word
+from knotfill.tangles import fill, mirror_template
 
 RAILS = quotient_template(SymmetricPlat(1, ()), name="rails")
 TREF = quotient_template(SymmetricPlat(3, (2, 1, -3, 2)), name="tref")
@@ -48,6 +57,36 @@ T25_KAPPA = {
     (-2, -13): 1, (-1, -11): 1, (0, -9): 1, (0, -7): 1,
     (1, -7): 2, (2, -5): 1, (3, -3): 1, (4, -1): 1,
 }
+
+
+# the words of the benchmark's family pool (SymmetricPlat(m, word))
+FAMILY_PIN_WORDS = [
+    (1, (1, 1, 1, -1, -1)),
+    (3, (-1, -3, -1, -2)),
+    (3, (-2, -1, 3, -2)),
+    (3, (-2, 1, -1, -2, -2)),
+    (3, (-2, 3, -2, 2)),
+    (3, (2, 1, -3, 2)),
+    (3, (2, 1, -3, 2, 1)),
+    (3, (2, 2, 3, -2)),
+]
+
+
+def assert_family_matches_fills(t, lo=-8, hi=8):
+    """Every table of the shared sweep against its fill computed on its own:
+    by a full sweep of the fill, and by the cube when the fill is small."""
+    # an uncapped sweep from the hole can be much wider than a fill's own
+    assert peak_width(template_word(t)) <= peak_width(compile_events(fill(t, 2)))
+    tables = _TwistFamily(t, DEFAULT_MAX_GENERATORS).tables(range(lo, hi + 1))
+    for n in range(lo, hi + 1):
+        d, _, n_minus = _family_signs(t, n)
+        flip = n_minus - d.n_minus  # nonzero only for regraded two-component fills
+        engines = ["scan"]
+        if len(d.crossings) <= CUBE_CROSSING_LIMIT:
+            engines.append("cube")
+        for engine in engines:
+            want = kh_table(d, engine=engine).shifted(-flip, -3 * flip)
+            assert tables[n].entries == want.entries, (n, engine)
 
 
 def staircase_family(dims, name="steps"):
@@ -92,6 +131,33 @@ class TestComputeFamily:
         assert fam.shift_to_zero(0) == 0
         assert fam.shift_to_zero(3) == -3
         assert fam.shift_to_zero(-3) == 3
+
+
+class TestSharedSweep:
+    @pytest.mark.parametrize(
+        "template",
+        [RAILS, TREF, mirror_template(TREF), T25_BRAID],
+        ids=["rails", "tref", "tref-mirror", "t25-braid"],
+    )
+    def test_tables_equal_their_fills(self, template):
+        assert_family_matches_fills(template)
+
+    @pytest.mark.parametrize("m,word", FAMILY_PIN_WORDS)
+    def test_family_pool_tables_equal_their_fills(self, m, word):
+        assert_family_matches_fills(quotient_template(SymmetricPlat(m, word)))
+
+    @given(
+        st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=4).map(tuple)
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_symmetric_plat_tables_equal_their_fills(self, word):
+        assert_family_matches_fills(quotient_template(SymmetricPlat(3, word)))
+
+    def test_word_sweeps_the_template_down_to_the_hole(self):
+        for t in (RAILS, TREF, T25_BRAID):
+            word = template_word(t)
+            assert sum(ev[0] == "cross" for ev in word) == len(t.crossings)
+            assert sum({"cap": 2, "cup": -2, "cross": 0}[ev[0]] for ev in word) == 4
 
 
 class TestClassifySteps:
@@ -141,10 +207,19 @@ class TestFindTransition:
         with pytest.raises(TransitionError, match="widen"):
             find_transition(fam)
 
+    @pytest.mark.parametrize(
+        "n_range,missing", [((-8, -2), SURJECTIVE), ((2, 8), INJECTIVE)]
+    )
+    def test_missing_step_kind_is_named(self, n_range, missing):
+        with pytest.raises(TransitionError) as err:
+            find_transition(compute_family(RAILS, n_range))
+        assert err.value.missing == missing
+
     def test_non_monotone_pattern_is_an_error(self):
         fam = staircase_family([2, 3, 4, 3, 2])
-        with pytest.raises(TransitionError, match="monotone"):
+        with pytest.raises(TransitionError, match="monotone") as err:
             find_transition(fam)
+        assert err.value.missing is None
 
     def test_interior_bump_is_excluded_not_fatal(self):
         fam = staircase_family([4, 3, 2, 3, 2, 3, 4])
@@ -203,6 +278,18 @@ class TestDriver:
         run = kappa_for_template(RAILS, hint=6)
         assert run.profile.N == -1
         assert run.table.entries == {(0, 1): 1}
+
+    @pytest.mark.parametrize("hint", [-12, 12])
+    def test_window_widens_on_the_lacking_side(self, hint):
+        # the first window holds only injective (hint -12) or only
+        # surjective (hint 12) steps
+        run = kappa_for_template(RAILS, hint=hint)
+        assert run.profile.N == -1
+        assert run.family.n_lo <= -5 and run.family.n_hi >= 3
+        if hint < 0:
+            assert run.family.n_lo == hint - 5
+        else:
+            assert run.family.n_hi == hint + 5
 
     def test_fill_budget_is_enforced(self):
         with pytest.raises(BudgetError):
