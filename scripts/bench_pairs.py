@@ -6,7 +6,8 @@
 Each pair runs ``perfbench/run.py`` once in each checkout on the same seed,
 one after the other; even pairs run the parent first and odd pairs the
 change, so a host whose speed drifts does not favour one side.  Pair ``i``
-uses seed ``--seed + i``.  The output file keeps one section per workload
+uses seed ``FIRST_SEED + i``, and every run lasts the ``run_seconds`` of
+the change's ``BENCHMARK.json``.  The output file keeps one section per workload
 (``family``, or ``family+trace`` with ``--trace 1``); running the script
 again for another workload adds its section and keeps the others.
 
@@ -29,6 +30,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+FIRST_SEED = 101
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -49,8 +51,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     }
 
 
-def directions(checkout: Path) -> dict:
-    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+def directions(spec: dict) -> dict:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
@@ -82,8 +83,6 @@ def main() -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=36)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, default=Path("BENCH_6.json"))
     args = parser.parse_args()
@@ -93,14 +92,16 @@ def main() -> int:
         if not (path / "perfbench" / "run.py").is_file():
             print(f"bench_pairs: {side} checkout {path} has no perfbench/run.py", file=sys.stderr)
             return 2
+    spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     pairs = []
     for i in range(args.pairs):
-        seed = args.seed + i
+        seed = FIRST_SEED + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             t0 = time.perf_counter()
-            pair[side] = run_once(dirs[side], args.workload, seed, args.seconds, args.trace)
+            pair[side] = run_once(dirs[side], args.workload, seed, seconds, args.trace)
             pair[side]["wall_s"] = time.perf_counter() - t0
         pairs.append(pair)
         print(
@@ -114,9 +115,9 @@ def main() -> int:
     data = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     data.setdefault("host", {"python": platform.python_version(), "machine": platform.machine()})
     data.setdefault("workloads", {})[key] = {
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": pairs,
-        "summary": summarise(pairs, directions(dirs["change"])),
+        "summary": summarise(pairs, directions(spec)),
     }
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0

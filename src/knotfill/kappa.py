@@ -283,7 +283,9 @@ class _TwistFamily:
     def table(self, n: int) -> KhTable:
         self._reach(n)
         d, n_plus, n_minus = _family_signs(self.template, n)
-        entries = scan.reduced_dims(self.raw[n], n_plus, n_minus, self.template.free_loops)
+        entries = scan.divide_unit_circle(
+            scan.unreduced_dims(self.raw[n], n_plus, n_minus, self.template.free_loops)
+        )
         return KhTable(entries, link=d.name)
 
     def _reach(self, n: int) -> None:

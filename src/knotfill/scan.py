@@ -598,21 +598,30 @@ def run_events(
     n_plus: int,
     n_minus: int,
     max_generators: int = DEFAULT_MAX_GENERATORS,
+    free_loops: int = 0,
 ) -> Dict[Tuple[int, int], int]:
     """Sweep an event word; returns unreduced homology dims by (h, q)."""
     cx = _ScanComplex(max_generators)
     for ev in events:
         cx.apply(ev)
-    return _shift_gradings(cx.table(), n_plus, n_minus)
+    return unreduced_dims(cx.table(), n_plus, n_minus, free_loops)
 
 
-def _shift_gradings(
-    raw: Dict[Tuple[int, int], int], n_plus: int, n_minus: int
+def unreduced_dims(
+    raw: Dict[Tuple[int, int], int], n_plus: int, n_minus: int, free_loops: int = 0
 ) -> Dict[Tuple[int, int], int]:
-    return {
+    """Unreduced dims of a closed sweep, from ``_ScanComplex.table`` of its word.
+
+    ``n_plus``/``n_minus`` are the diagram's crossing counts and
+    ``free_loops`` its crossingless circles, which the word does not sweep.
+    """
+    entries = {
         (h - n_minus, q + n_plus - 2 * n_minus): dim
         for (h, q), dim in raw.items()
     }
+    for _ in range(free_loops):
+        entries = _tensor_unit_circle(entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -862,28 +871,10 @@ def divide_unit_circle(entries: Dict[Tuple[int, int], int]) -> Dict[Tuple[int, i
     return out
 
 
-def reduced_dims(
-    raw: Dict[Tuple[int, int], int], n_plus: int, n_minus: int, free_loops: int = 0
-) -> Dict[Tuple[int, int], int]:
-    """Reduced dims of a closed sweep, from ``_ScanComplex.table`` of its word.
-
-    ``n_plus``/``n_minus`` are the diagram's crossing counts and
-    ``free_loops`` its crossingless circles, which the word does not sweep.
-    """
-    entries = _shift_gradings(raw, n_plus, n_minus)
-    for _ in range(free_loops):
-        entries = _tensor_unit_circle(entries)
-    return divide_unit_circle(entries)
-
-
 def scan_unreduced_kh(
     d: PlanarDiagram, max_generators: int = DEFAULT_MAX_GENERATORS
 ) -> Dict[Tuple[int, int], int]:
-    events = compile_events(d)
-    entries = run_events(events, d.n_plus, d.n_minus, max_generators)
-    for _ in range(d.free_loops):
-        entries = _tensor_unit_circle(entries)
-    return entries
+    return run_events(compile_events(d), d.n_plus, d.n_minus, max_generators, d.free_loops)
 
 
 def scan_reduced_kh(

@@ -5,20 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotfill.diagram import DiagramError
-from knotfill.khovanov import (
-    CUBE_CROSSING_LIMIT,
-    DEFAULT_MAX_GENERATORS,
-    BudgetError,
-    KhTable,
-    kh_table,
-)
+from knotfill.khovanov import DEFAULT_MAX_GENERATORS, BudgetError, KhTable, kh_table
 from knotfill.kappa import (
     INJECTIVE,
     SURJECTIVE,
     StepError,
     TransitionError,
     _family_from_tables,
-    _family_signs,
     _TwistFamily,
     classify_steps,
     compute_family,
@@ -73,20 +66,14 @@ FAMILY_PIN_WORDS = [
 
 
 def assert_family_matches_fills(t, lo=-8, hi=8):
-    """Every table of the shared sweep against its fill computed on its own:
-    by a full sweep of the fill, and by the cube when the fill is small."""
+    """Every table of the shared sweep against ``fill_table`` of its fill,
+    which computes the fill on its own (by the cube when it is small, else
+    by a full sweep)."""
     # an uncapped sweep from the hole can be much wider than a fill's own
     assert peak_width(template_word(t)) <= peak_width(compile_events(fill(t, 2)))
     tables = _TwistFamily(t, DEFAULT_MAX_GENERATORS).tables(range(lo, hi + 1))
     for n in range(lo, hi + 1):
-        d, _, n_minus = _family_signs(t, n)
-        flip = n_minus - d.n_minus  # nonzero only for regraded two-component fills
-        engines = ["scan"]
-        if len(d.crossings) <= CUBE_CROSSING_LIMIT:
-            engines.append("cube")
-        for engine in engines:
-            want = kh_table(d, engine=engine).shifted(-flip, -3 * flip)
-            assert tables[n].entries == want.entries, (n, engine)
+        assert tables[n].entries == fill_table(t, n).entries, n
 
 
 def staircase_family(dims, name="steps"):
@@ -152,12 +139,6 @@ class TestSharedSweep:
     @settings(max_examples=5, deadline=None)
     def test_symmetric_plat_tables_equal_their_fills(self, word):
         assert_family_matches_fills(quotient_template(SymmetricPlat(3, word)))
-
-    def test_word_sweeps_the_template_down_to_the_hole(self):
-        for t in (RAILS, TREF, T25_BRAID):
-            word = template_word(t)
-            assert sum(ev[0] == "cross" for ev in word) == len(t.crossings)
-            assert sum({"cap": 2, "cup": -2, "cross": 0}[ev[0]] for ev in word) == 4
 
 
 class TestClassifySteps:
