@@ -1,15 +1,16 @@
 """Run the benchmark on two checkouts in alternating pairs and summarise.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload family \
-        --pairs 10 --out BENCH_6.json
+        --pairs 10 --out BENCH_N.json
 
 Each pair runs ``perfbench/run.py`` once in each checkout on the same seed,
 one after the other; even pairs run the parent first and odd pairs the
 change, so a host whose speed drifts does not favour one side.  Pair ``i``
 uses seed ``FIRST_SEED + i``, and every run lasts the ``run_seconds`` of
-the change's ``BENCHMARK.json``.  The output file keeps one section per workload
-(``family``, or ``family+trace`` with ``--trace 1``); running the script
-again for another workload adds its section and keeps the others.
+the change's ``BENCHMARK.json``.  The output file ``--out`` has no default, so
+no run overwrites an earlier record by accident.  It keeps one section per
+workload (``family``, or ``family+trace`` with ``--trace 1``); running the
+script again for another workload adds its section and keeps the others.
 
 Each section holds every run's metrics and, per metric, each side's median
 and quartiles, how many pairs the change won (ties count for neither side)
@@ -84,7 +85,7 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_6.json"))
+    parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}

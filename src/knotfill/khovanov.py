@@ -9,8 +9,9 @@ Gradings (absolute, reduced):
 * the 0-crossing unknot sits at ``(0, 0)``.
 
 This module is the brute-force reference engine: it materializes the whole
-cube, so it is intended for diagrams up to roughly 14 crossings.  Larger
-diagrams are delegated to the divide-and-conquer engine in ``scan``.
+cube, so ``kh_table`` by default uses it only for diagrams of at most
+``CUBE_CROSSING_LIMIT`` (10) crossings.  Larger diagrams go to the sweep
+engine in ``scan``, which builds the complex one local event at a time.
 """
 from __future__ import annotations
 

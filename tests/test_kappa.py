@@ -272,6 +272,14 @@ class TestDriver:
         else:
             assert run.family.n_hi == hint + 5
 
+    def test_margin_grows_only_by_the_steps_it_lacks(self):
+        # fills -5..10 show the transition at 5 with three surjective steps
+        # (8, 9, 10) above the bump at 6; the fourth needs one more fill
+        run = kappa_for_template(quotient_template(SymmetricPlat(1, (1, 1, 1))), hint=0)
+        assert run.profile.N == 5 and run.profile.bumps == (6,)
+        assert (run.family.n_lo, run.family.n_hi) == (-5, 11)
+        assert run.profile.margin == (10, 4)
+
     def test_fill_budget_is_enforced(self):
         with pytest.raises(BudgetError):
             kappa_for_template(RAILS, max_fills=3)

@@ -5,6 +5,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotfill import scan
+from knotfill.catalog import get_entry
 from knotfill.diagram import (
     DiagramError,
     PlanarDiagram,
@@ -262,8 +264,72 @@ def test_fifteen_crossing_knot_under_a_minute():
 
 def test_scan_is_deterministic():
     d = closure("1,1,1,-2,1,-2,3,3")
-    assert scan_reduced_kh(d) == scan_reduced_kh(d)
+    scan._clear_caches()
+    cold = scan_reduced_kh(d)
+    assert scan._entries > 0
+    # the second sweep finds every structure and evaluation cached
+    assert scan_reduced_kh(d) == cold
     assert compile_events(d) == compile_events(d)
+
+
+# -- the evaluation memo and the structure caches -----------------------------
+
+
+def cached_entries():
+    caches = (scan._COMPOSE_CACHE, scan._LIFT_CACHE, scan._SADDLE_CACHE)
+    return sum(len(c) + sum(len(st.memo) for st in c.values()) for c in caches)
+
+
+def reduced_kh_against_direct_evaluation(d):
+    """Sweep ``d``, checking every memoized evaluation against a direct one."""
+    memoized = scan._apply
+
+    def checked(st, masks, low):
+        got = memoized(st, masks, low)
+        want = 0
+        for m in range(masks.bit_length()):
+            if masks >> m & 1:
+                want ^= scan._evaluate(st.comps, m << scan._MASK_SHIFT | low)
+        assert got == want, (st.comps, masks, low)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "_apply", checked)
+        return scan_reduced_kh(d)
+
+
+def test_memo_matches_direct_evaluation_on_k1_and_t34():
+    k1 = get_entry("K1")
+    pinned = {(h, q): dim for h, q, dim in k1.fixture("kh_table").value}
+    assert reduced_kh_against_direct_evaluation(k1.diagram()) == pinned
+    t34 = closure("1,2,1,2,1,2,1,2")
+    assert reduced_kh_against_direct_evaluation(t34) == kh_table(t34, engine="cube").entries
+
+
+@settings(max_examples=15, deadline=None)
+@given(braid_words())
+def test_memo_matches_direct_evaluation_property(spec):
+    d = braid_closure(parse_braid(spec))
+    assert reduced_kh_against_direct_evaluation(d) == kh_table(d, engine="cube").entries
+
+
+def test_cache_bound_holds_and_tables_survive_clears(monkeypatch):
+    clears = []
+    clear = scan._clear_caches
+
+    def counted_clear():
+        clears.append(scan._entries)
+        clear()
+
+    monkeypatch.setattr(scan, "CACHE_BOUND", 200)
+    monkeypatch.setattr(scan, "_clear_caches", counted_clear)
+    clear()
+    for word in CUBE_CORPUS:
+        d = closure(word)
+        assert scan_reduced_kh(d) == kh_table(d, engine="cube").entries
+        assert cached_entries() <= scan._entries <= 200
+    # the corpus needs several times the bound
+    assert len(clears) >= 2
 
 
 def test_scan_budget_enforced():
