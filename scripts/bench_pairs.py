@@ -18,6 +18,12 @@ and whether a gain could be claimed: the change wins at least nine tenths
 of the pairs and the medians differ by more than the distance between the
 parent's quartiles.  Which direction is better comes from the ``better``
 field of ``BENCHMARK.json`` (end-to-end metrics) and of the per-layer list.
+Each end-to-end metric also records ``regressed``: whether the change's
+median is worse than the parent's by more than that metric's ``bound``, a
+fraction of the parent's median.
+
+The script exits with code 1 after writing the file if any run's answers
+failed their check (``correct`` false).
 """
 from __future__ import annotations
 
@@ -56,7 +62,11 @@ def directions(spec: dict) -> dict:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def summarise(pairs: list, better: dict) -> dict:
+def bounds(spec: dict) -> dict:
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def summarise(pairs: list, better: dict, bound: dict) -> dict:
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
@@ -75,6 +85,8 @@ def summarise(pairs: list, better: dict) -> dict:
             "pairs": len(pairs),
             "gain": wins >= 0.9 * len(pairs) and gap > stats["parent"]["q3"] - stats["parent"]["q1"],
         }
+        if name in bound:
+            out[name]["regressed"] = -gap > bound[name] * abs(stats["parent"]["median"])
     return out
 
 
@@ -118,9 +130,13 @@ def main() -> int:
     data.setdefault("workloads", {})[key] = {
         "seconds": seconds,
         "pairs": pairs,
-        "summary": summarise(pairs, directions(spec)),
+        "summary": summarise(pairs, directions(spec), bounds(spec)),
     }
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    wrong = [(p["seed"], side) for p in pairs for side in SIDES if not p[side]["correct"]]
+    if wrong:
+        print(f"bench_pairs: answers failed their check in runs (seed, side) {wrong}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,15 +7,20 @@ each step map on reduced homology is either injective with one-dimensional
 cokernel or surjective with one-dimensional kernel — total dimensions move
 by exactly one per step.  Far enough down the index every step is injective
 and far enough up every step is surjective; ``kappa`` is the stable image
-caught between the two regimes.  Its homological grading is absolute, and
-its quantum grading is translated step by step into the frame of the zero
-fill (the band closed without extra twists sits at index zero of a raw
-template; calibrated templates put the determinant-zero fill there).
-Two-component fills are graded in one orientation convention (see
-``fill_table``): both strands run the same way through the twist site, as
-they do in the knot fills.  In the orientation a diagram picks for itself
-their gradings can drift by ``(2l, 6l)`` from fill to fill, and no q-offset
-alone would then align a step.
+caught between the two regimes.
+
+The same cone fixes how consecutive tables line up.  Fills are graded in
+one orientation (see ``fill_table``): both strands of a two-component fill
+run the same way through the twist site, as in the knot fills.  There the
+absolute grading shift of fill ``n`` exceeds that of fill ``n-1`` by
+exactly ``q + 1`` on both sides of zero, so table ``n`` moved by
+``q -> q - 1`` differs from table ``n-1`` in one generator, whose side
+gives the step's kind (``_step``); any other difference is a ``StepError``.
+Kappa's homological grading is absolute, and its quantum grading is quoted
+in the zero-fill frame by ``q -> q - frame`` (the band closed without extra
+twists sits at index zero of a raw template; calibrated templates put the
+determinant-zero fill there).  In the orientation a diagram picks for
+itself, two-component fills drift by ``(2l, 6l)`` from fill to fill.
 
 One wrinkle is handled explicitly: the untwisted band closure typically
 carries two extra generators, so the dimension sequence has a local bump
@@ -41,7 +46,7 @@ on its own took 286-372 s and 208-280 s.  Everything runs in one process.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import scan
@@ -93,16 +98,15 @@ class TransitionError(RuntimeError):
 class FillingFamily:
     """Reduced homology tables of integer fills n_lo..n_hi of one template.
 
-    ``offsets[n]`` aligns table ``n`` with table ``n-1``: shifting table
-    ``n`` by ``q -> q - 1 + offsets[n]`` makes the graded difference from
-    table ``n-1`` a single entry of value +-1.
+    Every step obeys the twist cone (see ``_step``): table ``n`` moved by
+    ``q -> q - 1`` differs from table ``n-1`` in a single entry of +-1, so
+    frame ``n`` reads in the zero-fill frame by ``q -> q - n``.
     """
 
     template: TangleTemplate
     n_lo: int
     n_hi: int
     tables: Dict[int, KhTable]
-    offsets: Dict[int, int] = field(default_factory=dict)
 
     def table(self, n: int) -> KhTable:
         try:
@@ -115,16 +119,6 @@ class FillingFamily:
 
     def widths(self) -> Dict[int, int]:
         return {n: width(t) for n, t in sorted(self.tables.items())}
-
-    def step_rule(self, n: int) -> int:
-        """Net q-translation of the step map out of fill ``n``."""
-        return self.offsets[n] - 1
-
-    def shift_to_zero(self, n: int) -> int:
-        """Total q-translation expressing frame ``n`` in the zero frame."""
-        if n >= 0:
-            return sum(self.step_rule(k) for k in range(1, n + 1))
-        return -sum(self.step_rule(k) for k in range(n + 1, 1))
 
 
 @dataclass(frozen=True)
@@ -311,57 +305,25 @@ class _TwistFamily:
         return closed.table()
 
 
-def _step_offset_candidates(prev: KhTable, cur: KhTable) -> List[Tuple[int, Tuple[int, int], int]]:
-    """All rules r making ``prev - shifted(cur, dq=r)`` one-point of +-1.
+def _step(prev: KhTable, cur: KhTable, n: int) -> StepClass:
+    """The step map out of fill ``n``, read at the twist cone's alignment.
 
-    Returns (offset, defect bigrading, defect sign) triples, offset being
-    the stored convention r + 1.
+    Table ``n`` moved by ``q -> q - 1`` must differ from table ``n-1`` in
+    one entry of +-1: a spare generator of fill ``n-1`` is the cokernel of
+    an injective step, a spare one of fill ``n`` the kernel of a surjective
+    one.  The defect is quoted in fill ``n-1``'s coordinates.
     """
-    if not prev.entries or not cur.entries:
-        raise StepError("cannot align an empty table")
-    prev_qs = [q for _, q in prev.entries]
-    cur_qs = [q for _, q in cur.entries]
-    out = []
-    for r in range(min(prev_qs) - max(cur_qs) - 2, max(prev_qs) - min(cur_qs) + 3):
-        diff: Dict[Tuple[int, int], int] = dict(prev.entries)
-        for (h, q), v in cur.entries.items():
-            key = (h, q + r)
-            diff[key] = diff.get(key, 0) - v
-        nonzero = {k: v for k, v in diff.items() if v}
-        if len(nonzero) == 1:
-            (spot, value), = nonzero.items()
-            if abs(value) == 1:
-                out.append((r + 1, spot, value))
-    return out
-
-
-def _resolve_offsets(
-    steps: List[int],
-    candidates: Dict[int, List[Tuple[int, Tuple[int, int], int]]],
-) -> Dict[int, Tuple[int, Tuple[int, int], int]]:
-    """Pick one candidate per step: unique ones first, then neighbours."""
-    chosen: Dict[int, Tuple[int, Tuple[int, int], int]] = {
-        n: cands[0] for n, cands in candidates.items() if len(cands) == 1
-    }
-    pending = [n for n in steps if n not in chosen]
-    while pending:
-        progress = []
-        for n in pending:
-            picks = []
-            for nb in (n - 1, n + 1):
-                if nb in chosen:
-                    match = [c for c in candidates[n] if c[0] == chosen[nb][0]]
-                    picks.extend(match)
-            if len({p[0] for p in picks}) == 1:
-                chosen[n] = picks[0]
-                progress.append(n)
-        if not progress:
-            stuck = {n: [c[0] for c in candidates[n]] for n in pending}
-            raise StepError(
-                f"ambiguous q-offsets not settled by neighbouring steps: {stuck}"
-            )
-        pending = [n for n in pending if n not in chosen]
-    return chosen
+    diff: Dict[Tuple[int, int], int] = dict(prev.entries)
+    for (h, q), v in cur.entries.items():
+        diff[h, q - 1] = diff.get((h, q - 1), 0) - v
+    nonzero = [(k, v) for k, v in diff.items() if v]
+    if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+        raise StepError(
+            f"fills {n - 1} and {n} do not differ by one generator under q -> q - 1 "
+            f"(total dimensions {prev.total_dim}, {cur.total_dim})"
+        )
+    (spot, value), = nonzero
+    return StepClass(n=n, kind=INJECTIVE if value > 0 else SURJECTIVE, defect_bigrading=spot)
 
 
 def _family_from_tables(
@@ -373,22 +335,7 @@ def _family_from_tables(
         n_hi=hi,
         tables={n: tables[n] for n in range(lo, hi + 1)},
     )
-    steps = list(range(lo + 1, hi + 1))
-    candidates: Dict[int, List[Tuple[int, Tuple[int, int], int]]] = {}
-    for n in steps:
-        prev, cur = fam.table(n - 1), fam.table(n)
-        if abs(cur.total_dim - prev.total_dim) != 1:
-            raise StepError(
-                f"fills {n - 1} and {n} of {template.name!r} differ by "
-                f"{cur.total_dim - prev.total_dim} generators, not one"
-            )
-        cands = _step_offset_candidates(prev, cur)
-        if not cands:
-            raise StepError(
-                f"no q-offset concentrates the difference of fills {n - 1},{n}"
-            )
-        candidates[n] = cands
-    fam.offsets = {n: c[0] for n, c in _resolve_offsets(steps, candidates).items()}
+    classify_steps(fam)  # raises StepError on a step the cone does not allow
     return fam
 
 
@@ -397,7 +344,7 @@ def compute_family(
     n_range: Tuple[int, int],
     max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> FillingFamily:
-    """Tables for every integer fill in ``n_range`` plus step alignments."""
+    """Tables for every integer fill in ``n_range``, every step checked."""
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo > hi:
         raise DiagramError(f"empty fill range {lo}..{hi}")
@@ -410,15 +357,10 @@ def compute_family(
 
 
 def classify_steps(fam: FillingFamily) -> List[StepClass]:
-    """Read each step map off the total-dimension change."""
-    out = []
-    for n in range(fam.n_lo + 1, fam.n_hi + 1):
-        prev, cur = fam.table(n - 1), fam.table(n)
-        kind = SURJECTIVE if cur.total_dim == prev.total_dim + 1 else INJECTIVE
-        cands = _step_offset_candidates(prev, cur)
-        spot = next(c[1] for c in cands if c[0] == fam.offsets[n])
-        out.append(StepClass(n=n, kind=kind, defect_bigrading=spot))
-    return out
+    """Read each step map by the twist cone's one alignment (``_step``)."""
+    return [
+        _step(fam.table(n - 1), fam.table(n), n) for n in range(fam.n_lo + 1, fam.n_hi + 1)
+    ]
 
 
 def _split_bumps(steps: Sequence[StepClass]) -> Tuple[List[StepClass], List[int]]:
@@ -485,7 +427,9 @@ def compute_kappa(fam: FillingFamily, profile: TransitionProfile) -> KappaTable:
 
     The step out of fill N+1 is surjective, so the two-step image equals
     the image of the step out of fill N: a copy of table N when that step
-    is injective, and all of table N-1 when it is surjective.
+    is injective, and all of table N-1 when it is surjective.  The source
+    table, in the frame of its own fill, moves to the zero-fill frame by
+    ``q -> q - frame``.
     """
     N = profile.N
     for n in (N - 1, N, N + 1):
@@ -499,14 +443,7 @@ def compute_kappa(fam: FillingFamily, profile: TransitionProfile) -> KappaTable:
         source, frame = fam.table(N), N
     else:
         source, frame = fam.table(N - 1), N - 1
-    shift = fam.shift_to_zero(frame)
-    if frame >= 1:
-        two_path = fam.shift_to_zero(1) + sum(
-            fam.step_rule(k) for k in range(2, frame + 1)
-        )
-        if two_path != shift:
-            raise StepError("normalization self-check failed: paths disagree")
-    entries = {(h, q + shift): v for (h, q), v in source.entries.items()}
+    entries = {(h, q - frame): v for (h, q), v in source.entries.items()}
     table = KappaTable(
         entries=entries,
         template=fam.template.name,
@@ -520,11 +457,10 @@ def compute_kappa(fam: FillingFamily, profile: TransitionProfile) -> KappaTable:
         if b < N:
             floor = max(floor, b + 1)
     for k in range(floor, N):
-        ambient = fam.shift_to_zero(k)
         for (h, q), v in table.entries.items():
-            if fam.table(k).dim(h, q - ambient) < v:
+            if fam.table(k).dim(h, q + k) < v:
                 raise StepError(
-                    f"stable image exceeds fill {k} at {(h, q)}; offset chain broken"
+                    f"stable image exceeds fill {k} at {(h, q)}; steps misaligned"
                 )
     return table
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .diagram import DiagramError, PlanarDiagram
-from .khovanov import DEFAULT_MAX_GENERATORS, BudgetError
+from .khovanov import DEFAULT_MAX_GENERATORS, BudgetError, _tensor_unknot_factors
 from .tangles import TangleTemplate, fill
 
 Matching = Tuple[int, ...]
@@ -514,8 +514,10 @@ class _ScanComplex:
             )
         self._eliminate()
 
-    def _children(self, oid: int, kind: str, i: int, pairing: Optional[str], dh: int, dq: int):
-        m, h, q = self.obj[oid]
+    def _children(
+        self, obj: Tuple[Matching, int, int], kind: str, i: int, pairing: Optional[str], dh: int, dq: int
+    ):
+        m, h, q = obj
         if kind == "cap":
             child, loop = _insert_pair(m, i), False
         elif kind == "cup":
@@ -533,13 +535,9 @@ class _ScanComplex:
         old_obj = self.obj
         old_out = self.out
         self.obj, self.out, self.in_ = {}, {}, {}
-        kids: Dict[int, List[Tuple[int, int]]] = {}
-        for oid in sorted(old_obj):
-            self.obj[oid] = old_obj[oid]  # temporary for _children lookup
-        for oid in sorted(old_obj):
-            kids[oid] = self._children(oid, kind, i, None, 0, 0)
-        for oid in sorted(old_obj):
-            del self.obj[oid]
+        kids: Dict[int, List[Tuple[int, int]]] = {
+            oid: self._children(old_obj[oid], kind, i, None, 0, 0) for oid in sorted(old_obj)
+        }
         for a in sorted(old_out):
             ma = old_obj[a][0]
             for b in sorted(old_out[a]):
@@ -554,16 +552,13 @@ class _ScanComplex:
         old_obj = self.obj
         old_out = self.out
         self.obj, self.out, self.in_ = {}, {}, {}
-        kids: Dict[int, List[List[Tuple[int, int]]]] = {}
-        for oid in sorted(old_obj):
-            self.obj[oid] = old_obj[oid]
-        for oid in sorted(old_obj):
-            kids[oid] = [
-                self._children(oid, "cross", i, p0, 0, 0),
-                self._children(oid, "cross", i, p1, 1, 1),
+        kids: Dict[int, List[List[Tuple[int, int]]]] = {
+            oid: [
+                self._children(old_obj[oid], "cross", i, p0, 0, 0),
+                self._children(old_obj[oid], "cross", i, p1, 1, 1),
             ]
-        for oid in sorted(old_obj):
-            del self.obj[oid]
+            for oid in sorted(old_obj)
+        }
         # saddle entries: one undotted term, the mask bitset {0}
         for oid in sorted(old_obj):
             st = _saddle_structure(old_obj[oid][0], i, p0, p1)
@@ -661,9 +656,7 @@ def unreduced_dims(
         (h - n_minus, q + n_plus - 2 * n_minus): dim
         for (h, q), dim in raw.items()
     }
-    for _ in range(free_loops):
-        entries = _tensor_unit_circle(entries)
-    return entries
+    return _tensor_unknot_factors(entries, free_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -880,14 +873,6 @@ def template_word(template: TangleTemplate) -> List[Event]:
 
 # ---------------------------------------------------------------------------
 # public API
-
-
-def _tensor_unit_circle(entries: Dict[Tuple[int, int], int]) -> Dict[Tuple[int, int], int]:
-    out: Dict[Tuple[int, int], int] = {}
-    for (h, q), dim in entries.items():
-        for dq in (1, -1):
-            out[(h, q + dq)] = out.get((h, q + dq), 0) + dim
-    return out
 
 
 def divide_unit_circle(entries: Dict[Tuple[int, int], int]) -> Dict[Tuple[int, int], int]:

@@ -65,22 +65,27 @@ FAMILY_PIN_WORDS = [
 ]
 
 
-def assert_family_matches_fills(t, lo=-8, hi=8):
+def assert_family_matches_fills(t, lo=-8, hi=8, steps=True):
     """Every table of the shared sweep against ``fill_table`` of its fill,
     which computes the fill on its own (by the cube when it is small, else
-    by a full sweep)."""
+    by a full sweep).  With ``steps``, every step must also read at the one
+    alignment the twist cone fixes."""
     # an uncapped sweep from the hole can be much wider than a fill's own
     assert peak_width(template_word(t)) <= peak_width(compile_events(fill(t, 2)))
     tables = _TwistFamily(t, DEFAULT_MAX_GENERATORS).tables(range(lo, hi + 1))
     for n in range(lo, hi + 1):
         assert tables[n].entries == fill_table(t, n).entries, n
+    if steps:
+        assert len(classify_steps(_family_from_tables(t, tables, lo, hi))) == hi - lo
 
 
 def staircase_family(dims, name="steps"):
-    """Synthetic family with thin staircase tables of the given sizes."""
+    """Synthetic family with thin staircase tables of the given sizes, each
+    one q higher than the last, as the twist cone puts real fills."""
     lo = 0
     tables = {
-        lo + i: KhTable({(j, 2 * j): 1 for j in range(d)}) for i, d in enumerate(dims)
+        lo + i: KhTable({(j, 2 * j + lo + i): 1 for j in range(d)})
+        for i, d in enumerate(dims)
     }
     return _family_from_tables(RAILS, tables, lo, lo + len(dims) - 1)
 
@@ -93,9 +98,12 @@ class TestComputeFamily:
     def test_rails_window(self):
         fam = compute_family(RAILS, (-3, 3))
         assert fam.dims() == {-3: 3, -2: 2, -1: 1, 0: 2, 1: 1, 2: 2, 3: 3}
-        # absolute gradings already follow the drop-by-one rule on this family
-        assert set(fam.offsets) == set(range(-2, 4))
-        assert all(v == 0 for v in fam.offsets.values())
+
+    def test_window_of_ambiguous_steps_is_classified(self):
+        # both tables fit each other under several q-shifts; the cone's
+        # shift is the one that counts
+        fam = compute_family(RAILS, (0, 1))
+        assert [(s.n, s.kind) for s in classify_steps(fam)] == [(1, INJECTIVE)]
 
     def test_unit_step_violation_is_an_error(self):
         tables = {
@@ -113,11 +121,12 @@ class TestComputeFamily:
         with pytest.raises(StepError):
             _family_from_tables(RAILS, tables, 0, 1)
 
-    def test_shift_to_zero_telescopes(self):
-        fam = compute_family(RAILS, (-3, 3))
-        assert fam.shift_to_zero(0) == 0
-        assert fam.shift_to_zero(3) == -3
-        assert fam.shift_to_zero(-3) == 3
+    def test_tables_aligned_only_by_another_shift_are_an_error(self):
+        # {(j, 2j)} of 4 then 3 generators differ in one entry unshifted,
+        # not under the cone's q -> q - 1
+        tables = {n: KhTable({(j, 2 * j): 1 for j in range(d)}) for n, d in ((0, 4), (1, 3))}
+        with pytest.raises(StepError):
+            _family_from_tables(RAILS, tables, 0, 1)
 
 
 class TestSharedSweep:
@@ -138,7 +147,10 @@ class TestSharedSweep:
     )
     @settings(max_examples=5, deadline=None)
     def test_symmetric_plat_tables_equal_their_fills(self, word):
-        assert_family_matches_fills(quotient_template(SymmetricPlat(3, word)))
+        # the cone needs the other resolution of a twist, the infinity
+        # fill, to be an unknot; (1,) for one closes to a larger link
+        t = quotient_template(SymmetricPlat(3, word))
+        assert_family_matches_fills(t, steps=kh_table(fill(t, "inf")).total_dim == 1)
 
 
 class TestClassifySteps:
