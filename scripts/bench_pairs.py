@@ -14,9 +14,10 @@ script again for another workload adds its section and keeps the others.
 
 Each section holds every run's metrics and, per metric, each side's median
 and quartiles, how many pairs the change won (ties count for neither side)
-and whether a gain could be claimed: the change wins at least nine tenths
-of the pairs and the medians differ by more than the distance between the
-parent's quartiles.  Which direction is better comes from the ``better``
+and whether a gain could be claimed: the section has at least
+``MIN_GAIN_PAIRS`` (ten) pairs, the change wins at least nine tenths of
+them and the medians differ by more than the distance between the parent's
+quartiles.  Which direction is better comes from the ``better``
 field of ``BENCHMARK.json`` (end-to-end metrics) and of the per-layer list.
 Each end-to-end metric also records ``regressed``: whether the change's
 median is worse than the parent's by more than that metric's ``bound``, a
@@ -38,6 +39,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 FIRST_SEED = 101
+MIN_GAIN_PAIRS = 10  # fewer pairs cannot support a claimed gain
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -83,7 +85,9 @@ def summarise(pairs: list, better: dict, bound: dict) -> dict:
             "better": better.get(name, "lower"),
             "change_wins": wins,
             "pairs": len(pairs),
-            "gain": wins >= 0.9 * len(pairs) and gap > stats["parent"]["q3"] - stats["parent"]["q1"],
+            "gain": len(pairs) >= MIN_GAIN_PAIRS
+            and wins >= 0.9 * len(pairs)
+            and gap > stats["parent"]["q3"] - stats["parent"]["q1"],
         }
         if name in bound:
             out[name]["regressed"] = -gap > bound[name] * abs(stats["parent"]["median"])

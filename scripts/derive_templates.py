@@ -1,328 +1,46 @@
 #!/usr/bin/env python3
-"""Search for symmetric plat presentations and calibrate quotient templates.
+"""Calibrate the framing of quotient templates.
 
-The ``trivial`` template and the small test families come from symmetric
-plat words: a word over {±1, ±2, ±3} on six strands (pair letters act on a
-mirror-symmetric pair of crossings, the letter ±3 acts on the axis).  This
-script enumerates candidate words and keeps the ones whose doubled closure
-is a target knot, filtering in stages so the expensive invariants only run
-on a handful of survivors:
+A quotient template's integer fills have det(fill(n)) = |n - k0| for one
+framing offset k0.  ``calibrate`` measures k0 of a symmetric plat word
+(``--word``) and reports the axis-padded word, or of a symmetric closed braid
+(``--braid``) and reports the band half-twists, whose filling family has
+det(n) = |n|.
 
-    enumerate -> 1 component -> determinant -> Alexander at t=2
-              -> full Alexander -> reduced Kh table
-
-The headline templates T1 and T2 do not come from this search.  A six-strand
-plat is a 3-bridge presentation, and K1 has bridge number at least 4: its
-group maps onto S5 with every meridian going to a transposition (found by
-backtracking over its 17 Wirtinger relations), and three transpositions
-never generate a transitive subgroup of S5.  No such map was found for K2,
-so its bridge number is open; ``search --lengths 4..11`` found neither knot
-(at length 11: 3,258,334 words, 2,171,128 knots, 201,018 of determinant 7
-or 9, none past the Alexander-at-2 filter).  T1 and T2 come instead from
-symmetric closed 4-braid forms, sigma1 sigma3 . A . sigma2^(+-1) . rev(A)
-with A = 2,2,1,3,2,2,1 (see ``knotfill.symmetric.SymmetricBraid``); each
-form has the determinant, Alexander polynomial and reduced Kh table of the
-catalog braid.
-
-Subcommands:
-
-    search      enumerate plat words of given lengths against the targets
-    calibrate   measure the framing offset of a plat word (``--word``) and
-                report the axis-padded word, or of a symmetric closed braid
-                (``--braid``) and report the band half-twists, whose filling
-                family has det(n) = |n|
-
-Hits are appended as JSON lines so a long run can be tailed.
+The headline templates T1 and T2 come from symmetric closed 4-braid forms,
+sigma1 sigma3 . A . sigma2^(+-1) . rev(A) with A = 2,2,1,3,2,2,1 (see
+``knotfill.symmetric.SymmetricBraid``); each form has the determinant,
+Alexander polynomial and reduced Kh table of the catalog braid.  They could
+not come from six-strand symmetric plats.  Such a plat is a 3-bridge
+presentation, and K1 has bridge number at least 4: its group maps onto S5
+with every meridian going to a transposition (found by backtracking over its
+17 Wirtinger relations), and three transpositions never generate a
+transitive subgroup of S5.  No such map was found for K2, so its bridge
+number is open; an enumeration of plat words of lengths 4..11 found neither
+knot (at length 11: 3,258,334 words, 2,171,128 knots, 201,018 of
+determinant 7 or 9, none past an Alexander-at-2 filter).
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
-import multiprocessing as mp
 import os
 import sys
-import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from knotfill.diagram import PlanarDiagram, braid_closure, parse_braid
-from knotfill.khovanov import kh_table
-from knotfill.lspace import _det_int, _wirtinger_strands, alexander, determinant
+from knotfill.diagram import parse_braid
+from knotfill.lspace import determinant
 from knotfill.symmetric import (
     SymmetricBraid,
     SymmetricPlat,
     braid_quotient_template,
     quotient_template,
-    upstairs_diagram,
 )
 from knotfill.tangles import TangleTemplate, fill
 
 HALF_STRANDS = 3  # default plat size: quotient of a 6-strand symmetric plat
-
-
-def all_letters(m: int) -> Tuple[int, ...]:
-    return tuple(s * j for j in range(1, m + 1) for s in (1, -1))
-
-
-def end_letters(m: int) -> Tuple[int, ...]:
-    """Letters that cannot be slid off a cap (odd letters end on kinks)."""
-    return tuple(s * j for j in range(2, m, 2) for s in (1, -1))
-
-TARGET_BRAIDS = {
-    "K1": "(2,1,3,2)^3,1,2,3,3,2",
-    "K2": "(2,1,3,2)^3,-1,2,1,1,2",
-    "tref": "1,1,1",  # self-test target: the pipeline must find 2,1,-3,2
-}
-
-
-# ---------------------------------------------------------------------------
-# fast pre-filters (no diagram construction)
-
-
-def plat_components(word: Sequence[int], m: int = HALF_STRANDS) -> int:
-    """Component count of the doubled plat closure, via cap/permutation walk."""
-    n = 2 * m
-    station = list(range(n))  # station[p] = bottom endpoint now at position p
-    for x in word:
-        j = abs(x)
-        station[j - 1], station[j] = station[j], station[j - 1]
-        if j < m:
-            k = n - j
-            station[k - 1], station[k] = station[k], station[k - 1]
-    pi = [0] * n
-    for p, origin in enumerate(station):
-        pi[origin] = p
-    seen = [False] * n
-    cycles = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        cycles += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            k = station[pi[j] ^ 1]  # ascend, hop the top cap, descend
-            seen[k] = True
-            j = k ^ 1  # hop the bottom cap
-    return cycles
-
-
-def candidate_words(length: int, m: int = HALF_STRANDS) -> Iterator[Tuple[int, ...]]:
-    """Plat words with no removable end kinks or adjacent cancelling pairs.
-
-    Reversal duplicates (the flipped plat is the same knot) are emitted once.
-    """
-    ends, letters = end_letters(m), all_letters(m)
-    if length < 1:
-        return
-    if length == 1:
-        for x in ends:
-            yield (x,)
-        return
-    word: List[int] = [0] * length
-
-    def rec(pos: int) -> Iterator[Tuple[int, ...]]:
-        last = pos == length - 1
-        for x in ends if last else letters:
-            if pos and x == -word[pos - 1]:
-                continue
-            word[pos] = x
-            if last:
-                w = tuple(word)
-                if w[::-1] < w:
-                    continue
-                yield w
-            else:
-                yield from rec(pos + 1)
-
-    for first in ends:
-        word[0] = first
-        yield from rec(1)
-
-
-# ---------------------------------------------------------------------------
-# worker stages (diagram-level invariants)
-
-_TARGETS: Dict[str, dict] = {}
-
-
-def _odd_part(n: int) -> int:
-    n = abs(n)
-    while n and n % 2 == 0:
-        n //= 2
-    return n
-
-
-def _fox_fp2(d: PlanarDiagram) -> int:
-    """Odd part of the Fox-matrix determinant at t=2.
-
-    The minor determinant is ``±t^k * Delta(t)``, so its odd part at an
-    integer point is presentation-independent; one integer determinant is
-    ~20x cheaper than interpolating the full polynomial, and mismatches can
-    be discarded without computing it.
-    """
-    strand = _wirtinger_strands(d)
-    n_str = max(strand.values()) + 1
-    if n_str == 1:
-        return 1
-    size = n_str - 1
-    rows: List[List[int]] = []
-    for (a, b, c, _), sign in zip(d.crossings, d.signs):
-        row = [0] * n_str
-        over, sa, sc = strand[b], strand[a], strand[c]
-        if sign > 0:
-            row[over] += 1 - 2
-            row[sa] += 2
-            row[sc] += -1
-        else:
-            row[over] += 2 - 1
-            row[sa] += 1
-            row[sc] += -2
-        rows.append(row[:size])
-        if len(rows) == size:
-            break
-    return _odd_part(_det_int(rows))
-
-
-def _build_targets(names: Sequence[str]) -> Dict[str, dict]:
-    out: Dict[str, dict] = {}
-    for name in names:
-        d = braid_closure(parse_braid(TARGET_BRAIDS[name]), name=name)
-        entries = kh_table(d).entries
-        out[name] = {
-            "det": determinant(d),
-            "fp2": _fox_fp2(d),
-            "alex": alexander(d),
-            "kh": dict(entries),
-            "kh_mirror": {(-h, -q): v for (h, q), v in entries.items()},
-        }
-    return out
-
-
-_M = HALF_STRANDS
-
-
-def _worker_init(names: Sequence[str], m: int = HALF_STRANDS) -> None:
-    global _TARGETS, _M
-    _TARGETS = _build_targets(names)
-    _M = m
-
-
-def _scan_chunk(words: List[Tuple[int, ...]]) -> Tuple[int, int, int, int, list]:
-    """Run det/Alexander/Kh filters over a chunk; returns funnel counters."""
-    n_det = n_fp2 = n_alex = n_err = 0
-    hits = []
-    wanted_dets = {t["det"] for t in _TARGETS.values()}
-    wanted_fp2 = {t["fp2"] for t in _TARGETS.values()}
-    for w in words:
-        try:
-            d = upstairs_diagram(SymmetricPlat(_M, w))
-            det = determinant(d)
-            if det not in wanted_dets:
-                continue
-            n_det += 1
-            if _fox_fp2(d) not in wanted_fp2:
-                continue
-            n_fp2 += 1
-            ap = alexander(d)
-            matches = [
-                (name, t)
-                for name, t in _TARGETS.items()
-                if t["alex"] == ap and t["det"] == det
-            ]
-            if not matches:
-                continue
-            n_alex += 1
-            entries = dict(kh_table(d).entries)
-            for name, t in matches:
-                if entries == t["kh"]:
-                    hits.append({"word": list(w), "target": name, "mirrored": False})
-                elif entries == t["kh_mirror"]:
-                    hits.append({"word": list(w), "target": name, "mirrored": True})
-        except Exception:  # noqa: BLE001 - funnel must survive degenerate diagrams
-            n_err += 1
-    return n_det, n_fp2, n_alex, n_err, hits
-
-
-def _chunks(it: Iterator, size: int) -> Iterator[list]:
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield block
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_search(args: argparse.Namespace) -> int:
-    names = [n.strip() for n in args.targets.split(",") if n.strip()]
-    for n in names:
-        if n not in TARGET_BRAIDS:
-            raise SystemExit(f"unknown target {n!r}; known: {sorted(TARGET_BRAIDS)}")
-    lo, _, hi = args.lengths.partition("..")
-    lengths = range(int(lo), int(hi or lo) + 1)
-
-    targets = _build_targets(names)
-    for name, t in targets.items():
-        print(f"[target] {name}: det={t['det']}, kh dim={sum(t['kh'].values())}")
-    if "K1" in targets and targets["K1"]["det"] != 7:
-        raise SystemExit("K1 determinant is not 7; conventions have drifted")
-    if "K2" in targets and targets["K2"]["det"] != 9:
-        raise SystemExit("K2 determinant is not 9; conventions have drifted")
-
-    out_path = args.out
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    found: Dict[str, int] = {n: 0 for n in names}
-    t_start = time.time()
-
-    m = args.half_strands
-    if m < 1 or m % 2 == 0:
-        raise SystemExit("--half-strands must be odd (the axis needs a middle cap)")
-    with mp.Pool(args.jobs, initializer=_worker_init, initargs=(names, m)) as pool:
-        for length in lengths:
-            t0 = time.time()
-            n_raw = n_knot = n_det = n_fp2 = n_alex = n_err = 0
-            survivors = (w for w in candidate_words(length, m))
-
-            def knots() -> Iterator[Tuple[int, ...]]:
-                nonlocal n_raw, n_knot
-                for w in survivors:
-                    n_raw += 1
-                    if plat_components(w, m) == 1:
-                        n_knot += 1
-                        yield w
-
-            for det_c, fp2_c, alex_c, err_c, hits in pool.imap_unordered(
-                _scan_chunk, _chunks(knots(), args.chunk)
-            ):
-                n_det += det_c
-                n_fp2 += fp2_c
-                n_alex += alex_c
-                n_err += err_c
-                for hit in hits:
-                    found[hit["target"]] += 1
-                    line = json.dumps({"length": length, **hit}, sort_keys=True)
-                    print(f"[hit] {line}", flush=True)
-                    with open(out_path, "a", encoding="utf-8") as fh:
-                        fh.write(line + "\n")
-            print(
-                f"[L={length}] words={n_raw} knots={n_knot} det={n_det} "
-                f"fp2={n_fp2} alex={n_alex} errors={n_err} "
-                f"({time.time() - t0:.1f}s, total {time.time() - t_start:.0f}s)",
-                flush=True,
-            )
-            if all(found[n] for n in names):
-                print("[done] every target has a hit; stopping", flush=True)
-                return 0
-    missing = [n for n in names if not found[n]]
-    if missing:
-        print(f"[done] no hits for {missing} up to length {lengths[-1]}", flush=True)
-    return 0 if not missing else 1
 
 
 def _det_line(t: TangleTemplate, lo: int, hi: int) -> Dict[int, int]:
@@ -393,16 +111,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    s = sub.add_parser("search", help="enumerate symmetric plat words")
-    s.add_argument("--lengths", default="4..9", help="word lengths, e.g. 6..10")
-    s.add_argument("--targets", default="K1,K2", help="comma-separated targets")
-    s.add_argument("--half-strands", type=int, default=HALF_STRANDS)
-    s.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1))
-    s.add_argument("--chunk", type=int, default=2000)
-    s.add_argument("--out", default="/tmp/knotfill_search/hits.jsonl")
-    s.set_defaults(func=cmd_search)
-
-    c = sub.add_parser("calibrate", help="zero the framing of a found word")
+    c = sub.add_parser("calibrate", help="zero the framing of a template")
     c.add_argument("--word", help="comma-separated plat letters")
     c.add_argument("--braid", help="symmetric closed braid word, e.g. 1,1,1,1,1")
     c.add_argument("--half-strands", type=int, default=HALF_STRANDS)

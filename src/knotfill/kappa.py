@@ -11,11 +11,13 @@ caught between the two regimes.
 
 The same cone fixes how consecutive tables line up.  Fills are graded in
 one orientation (see ``fill_table``): both strands of a two-component fill
-run the same way through the twist site, as in the knot fills.  There the
-absolute grading shift of fill ``n`` exceeds that of fill ``n-1`` by
-exactly ``q + 1`` on both sides of zero, so table ``n`` moved by
-``q -> q - 1`` differs from table ``n-1`` in one generator, whose side
-gives the step's kind (``_step``); any other difference is a ``StepError``.
+run the same way through the twist site, as in the knot fills.  So fill
+``n`` has the template's crossing counts, read once per family off a knot
+fill, plus ``|n|`` twist crossings of sign ``n``.  The absolute grading
+shift of fill ``n`` then exceeds that of fill ``n-1`` by exactly ``q + 1``
+on both sides of zero, so table ``n`` moved by ``q -> q - 1`` differs from
+table ``n-1`` in one generator, whose side gives the step's kind
+(``_step``); any other difference is a ``StepError``.
 Kappa's homological grading is absolute, and its quantum grading is quoted
 in the zero-fill frame by ``q -> q - frame`` (the band closed without extra
 twists sits at index zero of a raw template; calibrated templates put the
@@ -36,13 +38,16 @@ and 16, just as the trefoil-plat family transitions at -1 under its bump at
 insensitive to the rule.
 
 The fills of one template share a single sweep (``_TwistFamily``): the
-template is swept once, down to its complex over the hole's four ends, and
-each direction extends that complex by one twist crossing per fill and
-closes a copy of it with two cups.  A fill costs one crossing and two cups
-instead of a sweep of its whole diagram, so ``kappa_for_template`` needs
-about 3.3 s for T1 (fills 0..25) and 4.8 s for T2 (fills 0..21) on one core
-of a 2-vCPU Xeon VM, most of it the one template sweep; sweeping every fill
-on its own took 286-372 s and 208-280 s.  Everything runs in one process.
+template is swept once, down to its complex over the hole's four ends.
+Closing a copy of that complex with the infinity tangle checks that the
+infinity fill is an unknot, as the cone needs, and a template that fails is
+no twist family (``DiagramError``).  Each direction extends the complex by
+one twist crossing per fill and closes a copy of it with two cups.  A fill
+costs one crossing and two cups instead of a sweep of its whole diagram,
+so ``kappa_for_template`` needs about 3.3 s for T1 (fills 0..25) and 4.8 s
+for T2 (fills 0..21) on one core of a 2-vCPU Xeon VM, most of it the one
+template sweep; sweeping every fill on its own took 286-372 s and
+208-280 s.  Everything runs in one process.
 """
 from __future__ import annotations
 
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import scan
-from .diagram import DiagramError, PlanarDiagram
+from .diagram import DiagramError
 from .khovanov import DEFAULT_MAX_GENERATORS, BudgetError, KhTable, kh_table, width
 from .tangles import TangleTemplate, fill
 
@@ -216,24 +221,27 @@ class KappaRun:
 # Family construction
 
 
-def _family_signs(template: TangleTemplate, n: int) -> Tuple[PlanarDiagram, int, int]:
-    """Fill ``n`` with its crossing counts ``(n_plus, n_minus)`` in the family
-    orientation.
+def _template_counts(template: TangleTemplate) -> Tuple[int, int]:
+    """The template's crossing counts ``(P, M)`` in the family orientation.
 
-    A two-component fill is oriented so that both strands run the same way
-    through the twist site, as they do in the knot fills: the template
-    crossings take their signs from the knot fill ``n + 1`` and the twist
-    crossings the sign of ``n``.  Knot fills keep their own orientation.
+    A knot fill orients itself, and its template crossings carry the family
+    signs; one of fills 0 and 1 is a knot whenever the infinity fill is.
     """
-    d = fill(template, n)
-    if d.n_components == 2:
-        knot = fill(template, n + 1)
-        if knot.n_components == 1:
-            k = len(template.crossings)
-            want = knot.signs[:k] + ((1 if n > 0 else -1),) * (len(d.crossings) - k)
-            n_minus = sum(1 for s in want if s < 0)
-            return d, len(want) - n_minus, n_minus
-    return d, d.n_plus, d.n_minus
+    k = len(template.crossings)
+    for n in (1, 0):
+        d = fill(template, n)
+        if d.n_components == 1:
+            n_minus = sum(1 for s in d.signs[:k] if s < 0)
+            return k - n_minus, n_minus
+    raise DiagramError(f"neither fill 0 nor fill 1 of {template.name!r} is a knot")
+
+
+def _fill_counts(counts: Tuple[int, int], n: int) -> Tuple[int, int]:
+    """Crossing counts of fill ``n``: the template's plus ``|n|`` twists of
+    sign ``n``.  In a two-component fill both strands then run the same way
+    through the twist site, as they do in the knot fills."""
+    n_plus, n_minus = counts
+    return n_plus + max(n, 0), n_minus + max(-n, 0)
 
 
 def fill_table(
@@ -241,13 +249,15 @@ def fill_table(
 ) -> KhTable:
     """Reduced homology of integer fill ``n``, graded in the family convention.
 
-    The fill is computed on its own with ``kh_table``.  A two-component fill
-    is regraded into the family orientation (see ``_family_signs``):
-    reversing one component turns ``flip`` more crossings negative (and as
-    many fewer positive), which moves ``(h, q)`` by ``(-flip, -3 * flip)``.
-    Knot fills keep their absolute gradings.
+    The fill is computed on its own with ``kh_table`` and regraded to the
+    crossing counts of ``_fill_counts``: a two-component fill whose own
+    orientation reverses one component has ``flip`` more negative crossings
+    in the family orientation (and as many fewer positive), which moves
+    ``(h, q)`` by ``(-flip, -3 * flip)``.  Knot fills keep their absolute
+    gradings.
     """
-    d, _, n_minus = _family_signs(template, n)
+    d = fill(template, n)
+    _, n_minus = _fill_counts(_template_counts(template), n)
     flip = n_minus - d.n_minus
     return kh_table(d, max_generators=max_generators).shifted(-flip, -3 * flip)
 
@@ -256,12 +266,13 @@ class _TwistFamily:
     """Tables of one template's integer fills, from one shared sweep.
 
     The template word (``scan.template_word``) is swept once, down to the
-    complex over the hole's four ends.  Each direction keeps an edge
-    complex that grows by one twist crossing per fill, so fill ``n`` costs
-    one crossing and the two closing cups, which act on a copy of the edge.
-    A wider window resumes from the edges.  Each table is graded with its
-    fill's own crossing counts in the family orientation, so it equals
-    ``fill_table`` of that fill.
+    complex over the hole's four ends.  Closing a copy of it with the
+    infinity tangle first checks that the template is a twist family, whose
+    infinity fill is an unknot.  Each direction keeps an edge complex that
+    grows by one twist crossing per fill, so fill ``n`` costs one crossing
+    and the two closing cups, which act on a copy of the edge.  A wider
+    window resumes from the edges.  Each table is graded with the crossing
+    counts of ``_fill_counts``, so it equals ``fill_table`` of that fill.
     """
 
     def __init__(self, template: TangleTemplate, max_generators: int) -> None:
@@ -270,37 +281,48 @@ class _TwistFamily:
         # ungraded unreduced tables of every fill the edges have passed
         self.raw: Dict[int, Dict[Tuple[int, int], int]] = {}
         self.edges: Dict[int, Tuple[int, scan._ScanComplex]] = {}
+        self.counts = (0, 0)
 
     def tables(self, wanted: Iterable[int]) -> Dict[int, KhTable]:
         return {n: self.table(n) for n in sorted(set(wanted))}
 
     def table(self, n: int) -> KhTable:
         self._reach(n)
-        d, n_plus, n_minus = _family_signs(self.template, n)
-        entries = scan.divide_unit_circle(
-            scan.unreduced_dims(self.raw[n], n_plus, n_minus, self.template.free_loops)
-        )
-        return KhTable(entries, link=d.name)
+        raw = scan.unreduced_dims(self.raw[n], *_fill_counts(self.counts, n))
+        return KhTable(scan.divide_unit_circle(raw), link=f"{self.template.name}({n})")
+
+    def _start(self) -> None:
+        cx = scan._ScanComplex(self.max_generators)
+        for ev in scan.template_word(self.template):
+            cx.apply(ev)
+        # unreduced Kh over GF(2) is twice the reduced one, a link of c
+        # components has reduced dimension at least 2^(c-1), and only the
+        # unknot has reduced dimension 1 (Kronheimer-Mrowka)
+        total = sum(self._close(cx, scan.CLOSE_INF).values())
+        if total != 2 or self.template.free_loops:
+            raise DiagramError(
+                f"{self.template.name!r} is no twist family: its infinity fill has "
+                f"reduced dimension {total * 2 ** self.template.free_loops // 2}, not an unknot's 1"
+            )
+        self.counts = _template_counts(self.template)
+        self.raw[0] = self._close(cx, scan.CLOSE)
+        self.edges = {1: (0, cx), -1: (0, cx.copy())}
 
     def _reach(self, n: int) -> None:
         if not self.edges:
-            cx = scan._ScanComplex(self.max_generators)
-            for ev in scan.template_word(self.template):
-                cx.apply(ev)
-            self.raw[0] = self._close(cx)
-            self.edges = {1: (0, cx), -1: (0, cx.copy())}
+            self._start()
         sign = 1 if n > 0 else -1
         m, cx = self.edges[sign]
         while n not in self.raw:
             cx.apply(scan.TWIST[sign])
             m += sign
-            self.raw[m] = self._close(cx)
+            self.raw[m] = self._close(cx, scan.CLOSE)
         self.edges[sign] = (m, cx)
 
     @staticmethod
-    def _close(cx: scan._ScanComplex) -> Dict[Tuple[int, int], int]:
+    def _close(cx: scan._ScanComplex, events: Sequence[scan.Event]) -> Dict[Tuple[int, int], int]:
         closed = cx.copy()
-        for ev in scan.CLOSE:
+        for ev in events:
             closed.apply(ev)
         return closed.table()
 
@@ -474,21 +496,25 @@ def kappa_width(table: KappaTable) -> int:
 # Automatic driver
 
 
+# monotone steps the driver wants on each side of the transition, and the
+# most tables it computes before giving up
+MARGIN = 4
+MAX_FILLS = 120
+
+
 def kappa_for_template(
     template: TangleTemplate,
     hint: int = 0,
-    margin: int = 4,
     max_generators: int = DEFAULT_MAX_GENERATORS,
-    max_fills: int = 120,
 ) -> KappaRun:
     """Widen a window around ``hint`` until the transition shows, then solve.
 
     The window starts five fills either side of the hint.  While one kind of
     step is missing altogether, the side that lacks it grows by an extension
     that doubles on each attempt (5, 10, 20, ...).  Once the transition
-    shows, a side with fewer than ``margin`` monotone steps grows by just the
+    shows, a side with fewer than ``MARGIN`` monotone steps grows by just the
     steps it lacks, since each new fill there adds at most one.  At most
-    ``max_fills`` tables are computed.  The final family always reaches the
+    ``MAX_FILLS`` tables are computed.  The final family always reaches the
     zero fill so the quantum normalization is anchored.  All fills come from
     one ``_TwistFamily``, so widening the window extends its edge complexes
     instead of sweeping the new fills from scratch.
@@ -500,9 +526,9 @@ def kappa_for_template(
 
     def ensure(a: int, b: int):
         missing = [n for n in range(a, b + 1) if n not in tables]
-        if len(tables) + len(missing) > max_fills:
+        if len(tables) + len(missing) > MAX_FILLS:
             raise BudgetError(
-                f"transition not found within {max_fills} fills of {template.name!r}"
+                f"transition not found within {MAX_FILLS} fills of {template.name!r}"
             )
         tables.update(family.tables(missing))
 
@@ -522,9 +548,9 @@ def kappa_for_template(
                 continue
             raise
         below, above = profile.margin
-        if below < margin or above < margin:
-            lo -= max(0, margin - below)
-            hi += max(0, margin - above)
+        if below < MARGIN or above < MARGIN:
+            lo -= max(0, MARGIN - below)
+            hi += max(0, MARGIN - above)
             continue
         if lo > min(0, profile.N - 1) or hi < max(0, profile.N + 1):
             lo = min(lo, min(0, profile.N - 1))

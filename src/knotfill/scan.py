@@ -832,10 +832,12 @@ def _turn(events: Sequence[Event], start: int) -> List[Event]:
 # After ``template_word`` the frontier holds the hole's four ends, and the
 # twist corridor of the fills runs between positions 2 and 3.  One more
 # half-twist of sign s is the crossing ``TWIST[s]``; the cups ``CLOSE`` shut
-# the hole with the identity tangle.  So the word of fill n is the template
-# word, ``TWIST[sign(n)]`` repeated |n| times, then ``CLOSE``.
+# the hole with the identity tangle, and ``CLOSE_INF`` with the infinity
+# tangle.  So the word of fill n is the template word, ``TWIST[sign(n)]``
+# repeated |n| times, then ``CLOSE``.
 TWIST = {1: ("cross", 2, True), -1: ("cross", 2, False)}
 CLOSE = (("cup", 1), ("cup", 0))
+CLOSE_INF = (("cup", 0), ("cup", 0))
 
 
 def template_word(template: TangleTemplate) -> List[Event]:

@@ -129,6 +129,15 @@ def test_kappa_template_file(run, tmp_path):
     assert "transition N = -1" in out
 
 
+def test_kappa_rejects_template_that_is_no_twist_family(run, tmp_path):
+    linked = quotient_template(SymmetricPlat(3, (1,)), name="linked")
+    path = tmp_path / "linked.json"
+    path.write_text(json.dumps(template_to_json(linked)))
+    result = run("kappa", "--template", str(path), ok=False)
+    assert result.exit_code == 1
+    assert "Error: 'linked' is no twist family" in result.output
+
+
 def test_kappa_range_without_transition(run):
     result = run("kappa", "--catalog", "trivial", "--range", "2..8", ok=False)
     assert result.exit_code != 0

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotfill import kappa as kappa_module
 from knotfill.diagram import DiagramError
 from knotfill.khovanov import DEFAULT_MAX_GENERATORS, BudgetError, KhTable, kh_table
 from knotfill.kappa import (
@@ -65,18 +68,17 @@ FAMILY_PIN_WORDS = [
 ]
 
 
-def assert_family_matches_fills(t, lo=-8, hi=8, steps=True):
+def assert_family_matches_fills(t, lo=-8, hi=8):
     """Every table of the shared sweep against ``fill_table`` of its fill,
     which computes the fill on its own (by the cube when it is small, else
-    by a full sweep).  With ``steps``, every step must also read at the one
-    alignment the twist cone fixes."""
+    by a full sweep).  Every step must also read at the one alignment the
+    twist cone fixes."""
     # an uncapped sweep from the hole can be much wider than a fill's own
     assert peak_width(template_word(t)) <= peak_width(compile_events(fill(t, 2)))
     tables = _TwistFamily(t, DEFAULT_MAX_GENERATORS).tables(range(lo, hi + 1))
     for n in range(lo, hi + 1):
         assert tables[n].entries == fill_table(t, n).entries, n
-    if steps:
-        assert len(classify_steps(_family_from_tables(t, tables, lo, hi))) == hi - lo
+    assert len(classify_steps(_family_from_tables(t, tables, lo, hi))) == hi - lo
 
 
 def staircase_family(dims, name="steps"):
@@ -150,7 +152,32 @@ class TestSharedSweep:
         # the cone needs the other resolution of a twist, the infinity
         # fill, to be an unknot; (1,) for one closes to a larger link
         t = quotient_template(SymmetricPlat(3, word))
-        assert_family_matches_fills(t, steps=kh_table(fill(t, "inf")).total_dim == 1)
+        if kh_table(fill(t, "inf")).total_dim == 1:
+            assert_family_matches_fills(t)
+        else:
+            with pytest.raises(DiagramError, match="no twist family"):
+                _TwistFamily(t, DEFAULT_MAX_GENERATORS).table(0)
+
+    def test_template_without_unknotted_infinity_fill_is_rejected(self):
+        # the infinity fill closes to a 3-component link of reduced dimension 4
+        t = quotient_template(SymmetricPlat(3, (1,)))
+        with pytest.raises(DiagramError, match="reduced dimension 4"):
+            compute_family(t, (-8, 8))
+
+    def test_family_builds_one_fill_besides_the_template_word(self, monkeypatch):
+        # the knot fill that fixes the crossing counts, and fill 1 inside
+        # ``template_word``; no fill is built per table
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return fill(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("knotfill") and getattr(module, "fill", None) is fill:
+                monkeypatch.setattr(module, "fill", counted)
+        compute_family(TREF, (-8, 8))
+        assert len(calls) <= 2, calls
 
 
 class TestClassifySteps:
@@ -292,9 +319,10 @@ class TestDriver:
         assert (run.family.n_lo, run.family.n_hi) == (-5, 11)
         assert run.profile.margin == (10, 4)
 
-    def test_fill_budget_is_enforced(self):
+    def test_fill_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(kappa_module, "MAX_FILLS", 3)
         with pytest.raises(BudgetError):
-            kappa_for_template(RAILS, max_fills=3)
+            kappa_for_template(RAILS)
 
     def test_reported_widths_cover_the_window(self):
         run = kappa_for_template(RAILS)
