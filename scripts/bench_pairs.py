@@ -23,8 +23,10 @@ Each end-to-end metric also records ``regressed``: whether the change's
 median is worse than the parent's by more than that metric's ``bound``, a
 fraction of the parent's median.
 
-The script exits with code 1 after writing the file if any run's answers
-failed their check (``correct`` false).
+Each run records the sha256 of its inputs, from the ``inputs:`` line
+``perfbench/run.py`` prints.  The script exits with code 1 after writing the
+file if the two runs of a pair were fed different inputs, or if any run's
+answers failed their check (``correct`` false).
 """
 from __future__ import annotations
 
@@ -51,8 +53,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"bench_pairs: run in {checkout} exited with code {proc.returncode}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    inputs = next((ln for ln in lines if ln.startswith("inputs:")), None)
+    if inputs is None:
+        raise SystemExit(f"bench_pairs: run in {checkout} printed no inputs: line")
+    result = json.loads(lines[-1])
     return {
+        "inputs_sha256": inputs.rsplit("sha256=", 1)[1],
         "correct": result["correct"],
         "failed": result["failed"],
         "attempted": result["attempted"],
@@ -137,11 +144,16 @@ def main() -> int:
         "summary": summarise(pairs, directions(spec), bounds(spec)),
     }
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    status = 0
+    unlike = [p["seed"] for p in pairs if p["parent"]["inputs_sha256"] != p["change"]["inputs_sha256"]]
+    if unlike:
+        print(f"bench_pairs: the two sides ran different inputs on seeds {unlike}", file=sys.stderr)
+        status = 1
     wrong = [(p["seed"], side) for p in pairs for side in SIDES if not p[side]["correct"]]
     if wrong:
         print(f"bench_pairs: answers failed their check in runs (seed, side) {wrong}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .kappa import (
     classify_steps,
     find_transition,
     kappa_for_template,
+    kappa_width,
     KappaRun,
     KappaTable,
 )
@@ -350,7 +351,7 @@ def cmd_kappa(pd_file, braid, catalog_name, template_file, mirror_flag, n_range,
         f"transition N = {run.profile.N}"
         + (f"   (bumps at {', '.join(map(str, run.profile.bumps))})" if run.profile.bumps else ""),
         f"kappa dimension = {run.table.total_dim}",
-        f"kappa width = {(max(run.table.delta_support()) - min(run.table.delta_support())) // 2 + 1}",
+        f"kappa width = {kappa_width(run.table)}",
         "",
         run.table.to_text(),
         "",

@@ -412,17 +412,23 @@ def unknot_diagram(n_components: int = 1, name: str = "") -> PlanarDiagram:
 
 
 def parse_pd(src) -> PlanarDiagram:
-    """Parse PD JSON (dict or string) into a PlanarDiagram."""
+    """Parse PD JSON (dict or string) into a PlanarDiagram.
+
+    Raises DiagramError on a code that no planar diagram has.
+    """
     if isinstance(src, str):
         src = json.loads(src)
     if not isinstance(src, dict):
         raise DiagramError("PD input must be a JSON object")
-    return PlanarDiagram(
+    d = PlanarDiagram(
         tuple(tuple(int(x) for x in c) for c in src.get("pd", [])),
         free_loops=int(src.get("free_loops", 0)),
         basepoint=src.get("basepoint"),
         name=src.get("name", ""),
     )
+    if not euler_check(d):
+        raise DiagramError("PD code is not planar: its faces fail the Euler characteristic check")
+    return d
 
 
 def mirror(d: PlanarDiagram) -> PlanarDiagram:

@@ -348,19 +348,6 @@ def _step(prev: KhTable, cur: KhTable, n: int) -> StepClass:
     return StepClass(n=n, kind=INJECTIVE if value > 0 else SURJECTIVE, defect_bigrading=spot)
 
 
-def _family_from_tables(
-    template: TangleTemplate, tables: Dict[int, KhTable], lo: int, hi: int
-) -> FillingFamily:
-    fam = FillingFamily(
-        template=template,
-        n_lo=lo,
-        n_hi=hi,
-        tables={n: tables[n] for n in range(lo, hi + 1)},
-    )
-    classify_steps(fam)  # raises StepError on a step the cone does not allow
-    return fam
-
-
 def compute_family(
     template: TangleTemplate,
     n_range: Tuple[int, int],
@@ -371,7 +358,9 @@ def compute_family(
     if lo > hi:
         raise DiagramError(f"empty fill range {lo}..{hi}")
     tables = _TwistFamily(template, max_generators).tables(range(lo, hi + 1))
-    return _family_from_tables(template, tables, lo, hi)
+    fam = FillingFamily(template=template, n_lo=lo, n_hi=hi, tables=tables)
+    classify_steps(fam)  # raises StepError on a step the cone does not allow
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +523,9 @@ def kappa_for_template(
 
     while True:
         ensure(lo, hi)
-        fam = _family_from_tables(template, tables, lo, hi)
+        fam = FillingFamily(template, lo, hi, {n: tables[n] for n in range(lo, hi + 1)})
         try:
-            profile = find_transition(fam)
+            profile = find_transition(fam)  # classifies every step, or raises StepError
         except TransitionError as err:
             if err.missing == INJECTIVE:
                 lo -= grow_lo

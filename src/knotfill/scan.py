@@ -9,6 +9,18 @@ splitting an object into two graded copies, and invertible differential
 entries are cancelled immediately, so for braid-like diagrams the complex
 stays near the size of its homology.
 
+Every event is one local rule: it applies a local move at frontier
+positions i, i+1 to both sides of every differential entry.  The moves are
+``cap`` (insert a pair), ``cup`` (join two strands) and a crossing's two
+resolutions, ``v`` (the strands stay straight) and ``h`` (cup then cap),
+shifted in (h, q) by 0 and 1.  An entry carried through a move gains the
+move's local cobordism next to the identity on the rest: a sheet meeting
+the joined strands, a sheet for the new ends, and nothing at all for ``v``,
+so an entry carried through ``v`` keeps its terms unchanged.  A crossing's
+saddle is the same rule read once more: the identity entry ``m -> m`` of each
+object, carried from resolution 0 to resolution 1.  It is the ``(h, h)``
+lift except that one sheet meets the old strands and carries the new ends.
+
 Morphisms are stored as GF(2) sums of dotted product cobordisms: one disk per
 circle of the source/target overlay, each carrying at most one dot.  A
 differential entry is one int, a bitset over the dot masks of its terms, so
@@ -18,13 +30,13 @@ two dots or any genus kill a term, an undotted connected piece neck-cuts
 into a sum over its boundary circles).
 
 The gluing itself depends only on the matchings involved, so each glued
-"structure" is built once and cached, and each structure memoizes its
-evaluations by one packed int key (its loop, f-circle and g-circle dots).
-Sweeps of unrelated diagrams meet the same small matchings over and over:
-over a long run of 11-25 crossing diagrams about 99.8% of evaluations are
-memo hits.  The structure caches and their memos share one entry bound,
-``CACHE_BOUND``, and are cleared together when they outgrow it, so a
-long-lived process keeps bounded memory.
+"structure" (a lift or a composite) is built once and cached, and each
+structure memoizes its evaluations by one packed int key (its loop,
+f-circle and g-circle dots).  Sweeps of unrelated diagrams meet the same
+small matchings over and over: over a long run of 11-25 crossing diagrams
+about 99.8% of evaluations are memo hits.  The two structure caches and
+their memos share one entry bound, ``CACHE_BOUND``, and are cleared together
+when they outgrow it, so a long-lived process keeps bounded memory.
 
 The sweep computes the unreduced theory; reduced groups are recovered at the
 end by dividing off the free rank-two circle factor, which is an exact
@@ -38,7 +50,7 @@ shares one sweep of the template (``kappa._TwistFamily``).
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .diagram import DiagramError, PlanarDiagram
 from .khovanov import DEFAULT_MAX_GENERATORS, BudgetError, _tensor_unknot_factors
@@ -85,12 +97,18 @@ def _join(m: Matching, i: int) -> Tuple[Matching, bool]:
     return tuple(out), closed
 
 
-def _apply_pairing(m: Matching, i: int, pairing: str) -> Tuple[Matching, bool]:
-    """Resolve a crossing site: 'v' keeps strands parallel, 'h' is cup+cap."""
-    if pairing == "v":
+def _move(m: Matching, i: int, move: str) -> Tuple[Matching, bool]:
+    """A local move at positions i, i+1; returns (matching, closed_a_circle).
+
+    ``cap`` inserts a pair and ``cup`` joins two strands.  A crossing site
+    resolves ``v`` (the strands stay straight) or ``h`` (cup then cap).
+    """
+    if move == "v":
         return m, False
+    if move == "cap":
+        return _insert_pair(m, i), False
     joined, closed = _join(m, i)
-    return _insert_pair(joined, i), closed
+    return (joined if move == "cup" else _insert_pair(joined, i)), closed
 
 
 def _is_noncrossing(m: Matching) -> bool:
@@ -252,12 +270,11 @@ class _Structure:
 # the structures they hold share one entry bound (about 150 bytes an entry).
 # They live as long as they fit, since later diagrams reuse the structures
 # of earlier ones, and are cleared all at once when they outgrow it.  The
-# bound holds a whole T1 or T2 family (about 93k and 111k entries) and a
-# 36 s run of 11-25 crossing diagrams (about 51k).
+# bound holds a whole T1 or T2 family (about 74k and 91k entries) and a
+# 36 s run of 11-25 crossing diagrams (about 41k).
 CACHE_BOUND = 1 << 17
 _COMPOSE_CACHE: Dict[Tuple, _Structure] = {}
 _LIFT_CACHE: Dict[Tuple, _Structure] = {}
-_SADDLE_CACHE: Dict[Tuple, _Structure] = {}
 _entries = 0  # structures plus memo entries added since the last clear
 
 
@@ -270,7 +287,6 @@ def _clear_caches() -> None:
     global _entries
     _COMPOSE_CACHE.clear()
     _LIFT_CACHE.clear()
-    _SADDLE_CACHE.clear()
     _entries = 0
 
 
@@ -328,110 +344,54 @@ def _compose_structure(mx: Matching, mmid: Matching, my: Matching) -> _Structure
     return _store(_COMPOSE_CACHE, key, _Structure(comps, gshift))
 
 
-def _lift_structure(kind: str, i: int, pairing: Optional[str], ma: Matching, mb: Matching) -> _Structure:
-    """Structure for an existing edge carried through one event."""
-    key = (kind, i, pairing, ma, mb)
+_JOINS = ("cup", "h")  # moves that join the strands at i, i+1
+_ENDS = ("cap", "h")  # moves that leave new ends at i, i+1
+_SHIFT = {"cap": -2, "cup": 2}  # child position p past the site -> p + shift
+
+
+def _lift_structure(i: int, move_a: str, move_b: str, ma: Matching, mb: Matching) -> _Structure:
+    """Structure of the edge ``ma -> mb`` carried through local moves at i, i+1.
+
+    ``move_a`` acts on the source and ``move_b`` on the target.  Away from
+    the site the lift is the edge itself.  A joining move adds a sheet that
+    meets both old strands and caps any circle it closes, and new ends leave
+    from a sheet of their own.  Unequal moves are a crossing's saddle, the
+    identity edge ``m -> m`` carried from one resolution to the other: there
+    one sheet meets the old strands and carries the new ends.
+    """
+    key = (i, move_a, move_b, ma, mb)
     hit = _LIFT_CACHE.get(key)
     if hit is not None:
         return hit
+    child_a, src_loop = _move(ma, i, move_a)
+    child_b, tgt_loop = _move(mb, i, move_b)
     fcircles = _overlay(ma, mb)
     fof = _point_to_circle(fcircles)
     gl = _Gluer()
     fp = [gl.piece(1 << (_MASK_SHIFT + ci)) for ci in range(len(fcircles))]
-
-    if kind == "cap":
-        sheet = gl.piece()
-        child_a, child_b = _insert_pair(ma, i), _insert_pair(mb, i)
-
-        def piece_at(p: int) -> int:
-            if p in (i, i + 1):
-                return sheet
-            return fp[fof[p - 2 if p > i + 1 else p]]
-
-    elif kind == "cup":
+    sheet = None
+    if move_a in _JOINS or move_b in _JOINS:
         sheet = gl.piece()
         gl.glue(sheet, fp[fof[i]])
         gl.glue(sheet, fp[fof[i + 1]])
-        child_a, src_loop = _join(ma, i)
-        child_b, tgt_loop = _join(mb, i)
         if src_loop:
             gl.glue(gl.piece(_SRC_LOOP), sheet, interval=False)
         if tgt_loop:
             gl.glue(gl.piece(_TGT_LOOP), sheet, interval=False)
+    if move_a != move_b:
+        ends = sheet
+    else:
+        ends = gl.piece() if move_a in _ENDS else None
+    shift = _SHIFT.get(move_a, 0)
 
-        def piece_at(p: int) -> int:
-            return fp[fof[p + 2 if p >= i else p]]
-
-    elif kind == "cross" and pairing == "v":
-        left = gl.piece()
-        right = gl.piece()
-        gl.glue(left, fp[fof[i]])
-        gl.glue(right, fp[fof[i + 1]])
-        child_a, child_b = ma, mb
-
-        def piece_at(p: int) -> int:
-            if p == i:
-                return left
-            if p == i + 1:
-                return right
-            return fp[fof[p]]
-
-    elif kind == "cross" and pairing == "h":
-        cup = gl.piece()
-        cap = gl.piece()
-        gl.glue(cup, fp[fof[i]])
-        gl.glue(cup, fp[fof[i + 1]])
-        child_a, src_loop = _apply_pairing(ma, i, "h")
-        child_b, tgt_loop = _apply_pairing(mb, i, "h")
-        if src_loop:
-            gl.glue(gl.piece(_SRC_LOOP), cup, interval=False)
-        if tgt_loop:
-            gl.glue(gl.piece(_TGT_LOOP), cup, interval=False)
-
-        def piece_at(p: int) -> int:
-            if p in (i, i + 1):
-                return cap
-            return fp[fof[p]]
-
-    else:  # pragma: no cover
-        raise ValueError(kind)
+    def piece_at(p: int) -> int:
+        if ends is not None and p in (i, i + 1):
+            return ends
+        return fp[fof[p + shift if p >= i else p]]
 
     final = _overlay(child_a, child_b)
     comps = gl.components([piece_at(c[0]) for c in final])
     return _store(_LIFT_CACHE, key, _Structure(comps))
-
-
-def _saddle_structure(m: Matching, i: int, pairing0: str, pairing1: str) -> _Structure:
-    """Structure of the new differential entry created by a crossing event."""
-    key = (m, i, pairing0)
-    hit = _SADDLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    arcs = [(p, m[p]) for p in range(len(m)) if p < m[p]]
-    arc_at = {}
-    for idx, (p, q) in enumerate(arcs):
-        arc_at[p] = idx
-        arc_at[q] = idx
-    gl = _Gluer()
-    sheets = [gl.piece() for _ in arcs]
-    saddle = gl.piece()
-    gl.glue(saddle, sheets[arc_at[i]])
-    gl.glue(saddle, sheets[arc_at[i + 1]])
-    child0, src_loop = _apply_pairing(m, i, pairing0)
-    child1, tgt_loop = _apply_pairing(m, i, pairing1)
-    if src_loop:
-        gl.glue(gl.piece(_SRC_LOOP), saddle, interval=False)
-    if tgt_loop:
-        gl.glue(gl.piece(_TGT_LOOP), saddle, interval=False)
-    final = _overlay(child0, child1)
-
-    def piece_at(p: int) -> int:
-        if p in (i, i + 1):
-            return saddle
-        return sheets[arc_at[p]]
-
-    comps = gl.components([piece_at(c[0]) for c in final])
-    return _store(_SADDLE_CACHE, key, _Structure(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +462,9 @@ class _ScanComplex:
     def apply(self, ev: Event) -> None:
         kind = ev[0]
         if kind == "cross":
-            self._apply_cross(ev[1], ev[2])
+            self._apply_event(ev[1], ("v", "h") if ev[2] else ("h", "v"))
         elif kind in ("cap", "cup"):
-            self._apply_simple(kind, ev[1])
+            self._apply_event(ev[1], (kind,))
         else:  # pragma: no cover
             raise ValueError(f"unknown event {ev!r}")
         if len(self.obj) > self.max_objects:
@@ -514,68 +474,47 @@ class _ScanComplex:
             )
         self._eliminate()
 
-    def _children(
-        self, obj: Tuple[Matching, int, int], kind: str, i: int, pairing: Optional[str], dh: int, dq: int
-    ):
-        m, h, q = obj
-        if kind == "cap":
-            child, loop = _insert_pair(m, i), False
-        elif kind == "cup":
-            child, loop = _join(m, i)
-        else:
-            child, loop = _apply_pairing(m, i, pairing)
-        if not loop:
-            return [(self._new_obj(child, h + dh, q + dq), 0)]
-        return [
-            (self._new_obj(child, h + dh, q + dq + eps), eps)
-            for eps in (1, -1)
-        ]
+    def _apply_event(self, i: int, moves: Tuple[str, ...]) -> None:
+        """Apply resolution r of the event, ``moves[r]``, shifted by (r, r).
 
-    def _apply_simple(self, kind: str, i: int) -> None:
-        old_obj = self.obj
-        old_out = self.out
+        A cap or a cup has one resolution, a crossing two.  Every entry
+        ``a -> b`` is carried through each resolution on both sides, and a
+        crossing's saddle carries each object's identity from resolution 0
+        to resolution 1.  Carried through ``v``, an entry is unchanged.
+        """
+        old_obj, old_out = self.obj, self.out
         self.obj, self.out, self.in_ = {}, {}, {}
-        kids: Dict[int, List[Tuple[int, int]]] = {
-            oid: self._children(old_obj[oid], kind, i, None, 0, 0) for oid in sorted(old_obj)
-        }
-        for a in sorted(old_out):
-            ma = old_obj[a][0]
-            for b in sorted(old_out[a]):
-                masks = old_out[a][b]
-                st = _lift_structure(kind, i, None, ma, old_obj[b][0])
-                for na, epsa in kids[a]:
-                    for nb, epsb in kids[b]:
-                        self._xor_edge(na, nb, _apply(st, masks, _loop_dots(epsa, epsb)))
-
-    def _apply_cross(self, i: int, pos_type: bool) -> None:
-        p0, p1 = ("v", "h") if pos_type else ("h", "v")
-        old_obj = self.obj
-        old_out = self.out
-        self.obj, self.out, self.in_ = {}, {}, {}
-        kids: Dict[int, List[List[Tuple[int, int]]]] = {
-            oid: [
-                self._children(old_obj[oid], "cross", i, p0, 0, 0),
-                self._children(old_obj[oid], "cross", i, p1, 1, 1),
-            ]
-            for oid in sorted(old_obj)
-        }
-        # saddle entries: one undotted term, the mask bitset {0}
+        moved: Dict[Tuple[Matching, str], Tuple[Matching, bool]] = {}
+        kids: Dict[int, List[List[Tuple[int, int]]]] = {}
         for oid in sorted(old_obj):
-            st = _saddle_structure(old_obj[oid][0], i, p0, p1)
-            for n0, eps0 in kids[oid][0]:
-                for n1, eps1 in kids[oid][1]:
-                    self._xor_edge(n0, n1, _apply(st, 1, _loop_dots(eps0, eps1)))
-        # carried entries
-        for a in sorted(old_out):
-            ma = old_obj[a][0]
-            for b in sorted(old_out[a]):
-                masks = old_out[a][b]
-                mb = old_obj[b][0]
-                for r, pairing in ((0, p0), (1, p1)):
-                    st = _lift_structure("cross", i, pairing, ma, mb)
-                    for na, epsa in kids[a][r]:
-                        for nb, epsb in kids[b][r]:
-                            self._xor_edge(na, nb, _apply(st, masks, _loop_dots(epsa, epsb)))
+            m, h, q = old_obj[oid]
+            kids[oid] = row = []
+            for r, move in enumerate(moves):
+                child = moved.get((m, move))
+                if child is None:
+                    child = moved[m, move] = _move(m, i, move)
+                cm, closed = child
+                row.append([
+                    (self._new_obj(cm, h + r, q + r + eps), eps)
+                    for eps in ((1, -1) if closed else (0,))
+                ])
+        # (source, target, dot masks, source resolution, target resolution)
+        edges = [(o, o, 1, 0, 1) for o in sorted(old_obj)] if len(moves) == 2 else []
+        edges += [
+            (a, b, old_out[a][b], r, r)
+            for a in sorted(old_out)
+            for b in sorted(old_out[a])
+            for r in range(len(moves))
+        ]
+        for a, b, masks, ra, rb in edges:
+            move_a, move_b = moves[ra], moves[rb]
+            if move_a == move_b == "v":
+                self._xor_edge(kids[a][ra][0][0], kids[b][rb][0][0], masks)
+                continue
+            st = _lift_structure(i, move_a, move_b, old_obj[a][0], old_obj[b][0])
+            for na, epsa in kids[a][ra]:
+                for nb, epsb in kids[b][rb]:
+                    self._xor_edge(na, nb, _apply(st, masks, _loop_dots(epsa, epsb)))
 
     # -- cancellation
 

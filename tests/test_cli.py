@@ -92,6 +92,15 @@ def test_missing_pd_file(run):
     assert "no such file" in result.output
 
 
+def test_kh_rejects_nonplanar_pd(run, tmp_path):
+    path = tmp_path / "nonplanar.json"
+    path.write_text(json.dumps({"pd": [[2, 2, 3, 1], [4, 1, 4, 3]]}))
+    result = run("kh", "--pd", str(path), ok=False)
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: PD code is not planar")
+    assert "Traceback" not in result.output
+
+
 def test_two_inputs_rejected(run):
     result = run("kh", "--braid", "1,1,1", "--catalog", "trefoil", ok=False)
     assert result.exit_code != 0

@@ -69,6 +69,12 @@ def test_parse_pd_rejects_open_arcs():
         parse_pd({"pd": [[1, 2, 3, 4]]})
 
 
+def test_parse_pd_rejects_nonplanar_code():
+    # every arc pairs up, but the faces give V - E + F = 0, not 2
+    with pytest.raises(DiagramError, match="not planar"):
+        parse_pd({"pd": [[2, 2, 3, 1], [4, 1, 4, 3]]})
+
+
 # -- closures and orientation ----------------------------------------------
 
 

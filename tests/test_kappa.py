@@ -13,8 +13,8 @@ from knotfill.kappa import (
     INJECTIVE,
     SURJECTIVE,
     StepError,
+    FillingFamily,
     TransitionError,
-    _family_from_tables,
     _TwistFamily,
     classify_steps,
     compute_family,
@@ -78,7 +78,7 @@ def assert_family_matches_fills(t, lo=-8, hi=8):
     tables = _TwistFamily(t, DEFAULT_MAX_GENERATORS).tables(range(lo, hi + 1))
     for n in range(lo, hi + 1):
         assert tables[n].entries == fill_table(t, n).entries, n
-    assert len(classify_steps(_family_from_tables(t, tables, lo, hi))) == hi - lo
+    assert len(classify_steps(FillingFamily(t, lo, hi, tables))) == hi - lo
 
 
 def staircase_family(dims, name="steps"):
@@ -89,7 +89,9 @@ def staircase_family(dims, name="steps"):
         lo + i: KhTable({(j, 2 * j + lo + i): 1 for j in range(d)})
         for i, d in enumerate(dims)
     }
-    return _family_from_tables(RAILS, tables, lo, lo + len(dims) - 1)
+    fam = FillingFamily(RAILS, lo, lo + len(dims) - 1, tables)
+    classify_steps(fam)
+    return fam
 
 
 class TestComputeFamily:
@@ -113,7 +115,7 @@ class TestComputeFamily:
             1: KhTable({(0, 2): 1, (1, 4): 1, (2, 6): 1}),
         }
         with pytest.raises(StepError):
-            _family_from_tables(RAILS, tables, 0, 1)
+            classify_steps(FillingFamily(RAILS, 0, 1, tables))
 
     def test_unalignable_tables_are_an_error(self):
         tables = {
@@ -121,14 +123,14 @@ class TestComputeFamily:
             1: KhTable({(0, 0): 1, (1, 2): 1, (2, 4): 1}),
         }
         with pytest.raises(StepError):
-            _family_from_tables(RAILS, tables, 0, 1)
+            classify_steps(FillingFamily(RAILS, 0, 1, tables))
 
     def test_tables_aligned_only_by_another_shift_are_an_error(self):
         # {(j, 2j)} of 4 then 3 generators differ in one entry unshifted,
         # not under the cone's q -> q - 1
         tables = {n: KhTable({(j, 2 * j): 1 for j in range(d)}) for n, d in ((0, 4), (1, 3))}
         with pytest.raises(StepError):
-            _family_from_tables(RAILS, tables, 0, 1)
+            classify_steps(FillingFamily(RAILS, 0, 1, tables))
 
 
 class TestSharedSweep:

@@ -276,7 +276,7 @@ def test_scan_is_deterministic():
 
 
 def cached_entries():
-    caches = (scan._COMPOSE_CACHE, scan._LIFT_CACHE, scan._SADDLE_CACHE)
+    caches = (scan._COMPOSE_CACHE, scan._LIFT_CACHE)
     return sum(len(c) + sum(len(st.memo) for st in c.values()) for c in caches)
 
 
@@ -311,6 +311,27 @@ def test_memo_matches_direct_evaluation_on_k1_and_t34():
 def test_memo_matches_direct_evaluation_property(spec):
     d = braid_closure(parse_braid(spec))
     assert reduced_kh_against_direct_evaluation(d) == kh_table(d, engine="cube").entries
+
+
+def test_straight_strands_carry_entries_unchanged(monkeypatch):
+    # the sweep builds no (v, v) lift, since that lift is the identity
+    lift = scan._lift_structure
+    carried = set()
+
+    def recorded(i, move_a, move_b, ma, mb):
+        assert (move_a, move_b) != ("v", "v")
+        if move_a == move_b == "h":
+            carried.add((i, ma, mb))
+        return lift(i, move_a, move_b, ma, mb)
+
+    monkeypatch.setattr(scan, "_lift_structure", recorded)
+    d = closure("1,1,1,-2,1,-2,3,3")
+    assert scan_reduced_kh(d) == kh_table(d, engine="cube").entries
+    assert carried
+    for i, ma, mb in carried:
+        st = lift(i, "v", "v", ma, mb)
+        for m in range(1 << len(_overlay(ma, mb))):
+            assert scan._apply(st, 1 << m, 0) == 1 << m
 
 
 def test_cache_bound_holds_and_tables_survive_clears(monkeypatch):
