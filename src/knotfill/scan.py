@@ -20,6 +20,19 @@ so an entry carried through ``v`` keeps its terms unchanged.  A crossing's
 saddle is the same rule read once more: the identity entry ``m -> m`` of each
 object, carried from resolution 0 to resolution 1.  It is the ``(h, h)``
 lift except that one sheet meets the old strands and carries the new ends.
+So a crossing leaves its ``v`` half where it is: those objects and entries
+stay in place, shifted in (h, q) by 1 when ``v`` is resolution 1, and only
+the ``h`` half and the saddles are built.
+
+An entry is an identity when its undotted term joins two copies of one
+matching; such an entry is an isomorphism and is cancelled by Gaussian
+elimination, which composes every entry into its target with every entry
+out of its source (the zigzag).  Entries are recorded the moment they
+become identities, so no event rescans the complex, and they are cancelled
+cheapest first, by the product of those two entry counts (Markowitz's
+least-fill-in order, with each cost checked again when it comes due).  No
+identity is left after an event, so the complex is minimal: the objects it
+keeps do not depend on the order, only which entries join them does.
 
 Morphisms are stored as GF(2) sums of dotted product cobordisms: one disk per
 circle of the source/target overlay, each carrying at most one dot.  A
@@ -31,12 +44,13 @@ into a sum over its boundary circles).
 
 The gluing itself depends only on the matchings involved, so each glued
 "structure" (a lift or a composite) is built once and cached, and each
-structure memoizes its evaluations by one packed int key (its loop,
-f-circle and g-circle dots).  Sweeps of unrelated diagrams meet the same
-small matchings over and over: over a long run of 11-25 crossing diagrams
-about 99.8% of evaluations are memo hits.  The two structure caches and
-their memos share one entry bound, ``CACHE_BOUND``, and are cleared together
-when they outgrow it, so a long-lived process keeps bounded memory.
+structure memoizes its evaluations by one packed int key: a whole mask
+bitset with a lift's loop dots, or a composite's two whole bitsets.  Sweeps
+of unrelated diagrams meet the same small matchings over and over: over a
+long run of 11-25 crossing diagrams about 99.7% of memo lookups are hits.
+The two structure caches and their memos share one entry bound,
+``CACHE_BOUND``, and are cleared together when they outgrow it, so a
+long-lived process keeps bounded memory.
 
 The sweep computes the unreduced theory; reduced groups are recovered at the
 end by dividing off the free rank-two circle factor, which is an exact
@@ -50,6 +64,7 @@ shares one sweep of the template (``kappa._TwistFamily``).
 """
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .diagram import DiagramError, PlanarDiagram
@@ -270,8 +285,8 @@ class _Structure:
 # the structures they hold share one entry bound (about 150 bytes an entry).
 # They live as long as they fit, since later diagrams reuse the structures
 # of earlier ones, and are cleared all at once when they outgrow it.  The
-# bound holds a whole T1 or T2 family (about 74k and 91k entries) and a
-# 36 s run of 11-25 crossing diagrams (about 41k).
+# bound holds a whole T1 or T2 family (about 72k and 86k entries) and the
+# 2,700 diagrams of 11-25 crossings that one core sweeps in 36 s (about 43k).
 CACHE_BOUND = 1 << 17
 _COMPOSE_CACHE: Dict[Tuple, _Structure] = {}
 _LIFT_CACHE: Dict[Tuple, _Structure] = {}
@@ -304,23 +319,48 @@ def _store(cache: Dict[Tuple, _Structure], key: Tuple, st: _Structure) -> _Struc
 
 
 def _apply(st: _Structure, masks: int, low: int) -> int:
-    """Sum of the structure's terms over the dot masks in bitset ``masks``.
+    """Sum of a lift's terms over the dot masks in bitset ``masks``.
 
     Mask m is evaluated at key ``m << _MASK_SHIFT | low``, where ``low``
-    carries the loop dots or a composite's g-circle dots.
+    carries the loop dots.  The memo is keyed by the whole bitset.
     """
-    memo = st.memo
-    acc = 0
-    while masks:
-        bit = masks & -masks
-        masks ^= bit
-        key = (bit.bit_length() - 1) << _MASK_SHIFT | low
-        res = memo.get(key)
-        if res is None:
-            res = memo[key] = _evaluate(st.comps, key)
-            _count_entry()
-        acc ^= res
-    return acc
+    key = masks << _MASK_SHIFT | low
+    res = st.memo.get(key)
+    if res is None:
+        res = 0
+        while masks:
+            bit = masks & -masks
+            masks ^= bit
+            res ^= _evaluate(st.comps, (bit.bit_length() - 1) << _MASK_SHIFT | low)
+        st.memo[key] = res
+        _count_entry()
+    return res
+
+
+def _compose(st: _Structure, fmasks: int, gmasks: int) -> int:
+    """Sum of a composite's terms over the f-masks times the g-masks.
+
+    The memo is keyed by both whole bitsets; an f-mask bitset of a
+    composite over k f-circles has fewer than 2^k bits.
+    """
+    key = gmasks << (1 << st.gshift - _MASK_SHIFT) | fmasks
+    res = st.memo.get(key)
+    if res is None:
+        res = 0
+        fbits = []
+        while fmasks:
+            bit = fmasks & -fmasks
+            fmasks ^= bit
+            fbits.append((bit.bit_length() - 1) << _MASK_SHIFT)
+        while gmasks:
+            bit = gmasks & -gmasks
+            gmasks ^= bit
+            low = (bit.bit_length() - 1) << st.gshift
+            for f in fbits:
+                res ^= _evaluate(st.comps, f | low)
+        st.memo[key] = res
+        _count_entry()
+    return res
 
 
 def _compose_structure(mx: Matching, mmid: Matching, my: Matching) -> _Structure:
@@ -414,7 +454,10 @@ class _ScanComplex:
         # differential: out[a][b] is the bitset of the dot masks of entry a -> b
         self.out: Dict[int, Dict[int, int]] = {}
         self.in_: Dict[int, Set[int]] = {}
+        # entries a -> b that became identities since the last cancellation
+        self.made: List[Tuple[int, int]] = []
         self.next_id = 1
+        self.events = 0  # events applied so far
         self.max_objects = max_objects
 
     def copy(self) -> "_ScanComplex":
@@ -424,6 +467,7 @@ class _ScanComplex:
         cx.out = {a: dict(row) for a, row in self.out.items()}
         cx.in_ = {b: set(srcs) for b, srcs in self.in_.items()}
         cx.next_id = self.next_id
+        cx.events = self.events
         return cx
 
     # -- plumbing
@@ -442,19 +486,22 @@ class _ScanComplex:
         if cur is None:
             row[b] = masks
             self.in_.setdefault(b, set()).add(a)
+            cur = 0
         elif cur == masks:
             del row[b]
             self.in_[b].discard(a)
+            return
         else:
             row[b] = cur ^ masks
+        # an entry is an identity when its undotted term joins equal matchings
+        if masks & ~cur & 1 and self.obj[a][0] == self.obj[b][0]:
+            self.made.append((a, b))
 
     def _drop(self, o: int) -> None:
-        for b in list(self.out.get(o, ())):
+        for b in self.out.pop(o, ()):
             self.in_[b].discard(o)
-        self.out.pop(o, None)
-        for a in list(self.in_.get(o, ())):
-            self.out[a].pop(o, None)
-        self.in_.pop(o, None)
+        for a in self.in_.pop(o, ()):
+            del self.out[a][o]
         del self.obj[o]
 
     # -- events
@@ -468,10 +515,13 @@ class _ScanComplex:
         else:  # pragma: no cover
             raise ValueError(f"unknown event {ev!r}")
         if len(self.obj) > self.max_objects:
+            width = len(next(iter(self.obj.values()))[0])
             raise BudgetError(
-                f"scan frontier grew past {self.max_objects} objects; "
+                f"scan frontier grew past {self.max_objects} objects at event "
+                f"{self.events} ({kind} at position {ev[1]}, frontier width {width}); "
                 "raise max_generators to proceed"
             )
+        self.events += 1
         self._eliminate()
 
     def _apply_event(self, i: int, moves: Tuple[str, ...]) -> None:
@@ -480,16 +530,26 @@ class _ScanComplex:
         A cap or a cup has one resolution, a crossing two.  Every entry
         ``a -> b`` is carried through each resolution on both sides, and a
         crossing's saddle carries each object's identity from resolution 0
-        to resolution 1.  Carried through ``v``, an entry is unchanged.
+        to resolution 1.  Carried through ``v``, an object keeps its matching
+        and an entry its terms, so a crossing's ``v`` half stays where it is
+        (shifted by (1, 1) when it is resolution 1) and only the ``h`` half
+        and the saddles are built.
         """
-        old_obj, old_out = self.obj, self.out
-        self.obj, self.out, self.in_ = {}, {}, {}
+        stay = moves.index("v") if "v" in moves else None
+        old_obj = self.obj
+        edges = [(a, b, masks) for a, row in self.out.items() for b, masks in row.items()]
+        if stay is None:
+            self.obj, self.out, self.in_ = {}, {}, {}
         moved: Dict[Tuple[Matching, str], Tuple[Matching, bool]] = {}
         kids: Dict[int, List[List[Tuple[int, int]]]] = {}
-        for oid in sorted(old_obj):
-            m, h, q = old_obj[oid]
+        for oid, (m, h, q) in list(old_obj.items()):
             kids[oid] = row = []
             for r, move in enumerate(moves):
+                if r == stay:
+                    if r:
+                        self.obj[oid] = (m, h + 1, q + 1)
+                    row.append([(oid, 0)])
+                    continue
                 child = moved.get((m, move))
                 if child is None:
                     child = moved[m, move] = _move(m, i, move)
@@ -499,62 +559,56 @@ class _ScanComplex:
                     for eps in ((1, -1) if closed else (0,))
                 ])
         # (source, target, dot masks, source resolution, target resolution)
-        edges = [(o, o, 1, 0, 1) for o in sorted(old_obj)] if len(moves) == 2 else []
-        edges += [
-            (a, b, old_out[a][b], r, r)
-            for a in sorted(old_out)
-            for b in sorted(old_out[a])
-            for r in range(len(moves))
-        ]
-        for a, b, masks, ra, rb in edges:
-            move_a, move_b = moves[ra], moves[rb]
-            if move_a == move_b == "v":
-                self._xor_edge(kids[a][ra][0][0], kids[b][rb][0][0], masks)
-                continue
-            st = _lift_structure(i, move_a, move_b, old_obj[a][0], old_obj[b][0])
+        lifts = [(o, o, 1, 0, 1) for o in kids] if stay is not None else []
+        lifts += [(a, b, masks, r, r) for r in range(len(moves)) if r != stay for a, b, masks in edges]
+        for a, b, masks, ra, rb in lifts:
+            st = _lift_structure(i, moves[ra], moves[rb], old_obj[a][0], old_obj[b][0])
             for na, epsa in kids[a][ra]:
                 for nb, epsb in kids[b][rb]:
                     self._xor_edge(na, nb, _apply(st, masks, _loop_dots(epsa, epsb)))
 
     # -- cancellation
 
-    def _is_identity(self, a: int, b: int, masks: int) -> bool:
-        return bool(masks & 1) and self.obj[a][0] == self.obj[b][0]
+    def _cost(self, a: int, b: int) -> int:
+        """|in(b)| * |out(a)|: bounds the entries cancelling ``a -> b`` composes."""
+        return len(self.in_[b]) * len(self.out[a])
 
     def _eliminate(self) -> None:
-        stack = [
-            (a, b)
-            for a in sorted(self.out)
-            for b in sorted(self.out[a])
-            if self._is_identity(a, b, self.out[a][b])
-        ]
-        while stack:
-            a, b = stack.pop()
-            if a not in self.obj or b not in self.obj:
+        """Cancel every identity entry, cheapest first (Markowitz order).
+
+        The candidates are the entries ``_xor_edge`` recorded as they became
+        identities.  A cost goes stale as other cancellations reshape the
+        complex, so each is checked again when it comes off the heap.
+        """
+        out, in_, obj = self.out, self.in_, self.obj
+        heap: List[Tuple[int, int, int]] = []
+        while True:
+            for a, b in self.made:
+                if b in out.get(a, ()):
+                    heapq.heappush(heap, (self._cost(a, b), a, b))
+            self.made = []
+            if not heap:
+                return
+            cost, a, b = heapq.heappop(heap)
+            masks = out.get(a, {}).get(b)
+            if masks is None or not masks & 1:
                 continue
-            masks = self.out.get(a, {}).get(b)
-            if masks is None or not self._is_identity(a, b, masks):
+            now = self._cost(a, b)
+            if now > cost:
+                heapq.heappush(heap, (now, a, b))
                 continue
             if masks != 1:
                 raise AssertionError("identity entry with extra inhomogeneous terms")
-            mmid = self.obj[a][0]
-            ins = [(x, self.out[x][b]) for x in sorted(self.in_.get(b, ())) if x != a]
-            outs = [(y, ms) for y, ms in sorted(self.out.get(a, {}).items()) if y != b]
+            mmid = obj[a][0]
+            ins = [(x, out[x][b]) for x in in_[b] if x != a]
+            outs = [(y, ms) for y, ms in out[a].items() if y != b]
             self._drop(a)
             self._drop(b)
-            for x, bmasks in ins:
-                mx = self.obj[x][0]
+            for x, fmasks in ins:
+                mx = obj[x][0]
                 for y, gmasks in outs:
-                    st = _compose_structure(mx, mmid, self.obj[y][0])
-                    acc = 0
-                    while gmasks:
-                        bit = gmasks & -gmasks
-                        gmasks ^= bit
-                        acc ^= _apply(st, bmasks, (bit.bit_length() - 1) << st.gshift)
-                    if acc:
-                        self._xor_edge(x, y, acc)
-                        if self._is_identity(x, y, self.out[x].get(y, 0)):
-                            stack.append((x, y))
+                    st = _compose_structure(mx, mmid, obj[y][0])
+                    self._xor_edge(x, y, _compose(st, fmasks, gmasks))
 
     # -- output
 
@@ -636,25 +690,26 @@ def _search_sweep(
     if n == 0:
         return []
     all_done = (1 << n) - 1
+    slots = _arc_slots(d)
 
-    def attach(frontier: List[int], events: List[Event], cand: Tuple) -> Tuple[List[int], List[Event]]:
+    def attach(frontier: List[int], cand: Tuple) -> Tuple[List[int], List[Event]]:
         ci, mode, p, k = cand
         arcs = d.crossings[ci]
         xk, xk1 = arcs[k], arcs[(k + 1) % 4]
         xk2, xk3 = arcs[(k + 2) % 4], arcs[(k + 3) % 4]
-        f, ev = list(frontier), list(events)
+        f = list(frontier)
         pos_type = k % 2 == 1
         if mode == 0:  # floating start: cap both inputs
-            ev += [("cap", 0), ("cap", 1), ("cross", 0, pos_type)]
+            ev = [("cap", 0), ("cap", 1), ("cross", 0, pos_type)]
             f = [xk3, xk2, xk1, xk]
         elif mode == 1:  # both inputs already open and adjacent
-            ev.append(("cross", p, pos_type))
+            ev = [("cross", p, pos_type)]
             f[p : p + 2] = [xk3, xk2]
         elif mode == 2:  # left input open, cap the right one
-            ev += [("cap", p + 1), ("cross", p, pos_type)]
+            ev = [("cap", p + 1), ("cross", p, pos_type)]
             f[p : p + 1] = [xk3, xk2, xk1]
         else:  # right input open, cap the left one
-            ev += [("cap", p), ("cross", p + 1, pos_type)]
+            ev = [("cap", p), ("cross", p + 1, pos_type)]
             f[p : p + 1] = [xk, xk3, xk2]
         q = 0
         while q + 1 < len(f):
@@ -666,64 +721,81 @@ def _search_sweep(
                 q += 1
         return f, ev
 
-    def candidates(frontier: List[int], done: int) -> List[Tuple]:
-        if seeds is not None and not done:
-            return list(seeds)
-        out = []
-        for ci in range(n):
-            if done >> ci & 1:
-                continue
-            arcs = d.crossings[ci]
-            if not frontier:
-                out.extend((ci, 0, 0, k) for k in range(4))
-                continue
-            for k in range(4):
-                xk, xk1 = arcs[k], arcs[(k + 1) % 4]
-                for p, a in enumerate(frontier):
-                    if a == xk and p + 1 < len(frontier) and frontier[p + 1] == xk1:
-                        out.append((ci, 1, p, k))
-                    if xk != xk1:
-                        if a == xk:
-                            out.append((ci, 2, p, k))
-                        if a == xk1:
-                            out.append((ci, 3, p, k))
-        return out
-
     failed: Set[Tuple] = set()
     attempts = 0
+    path: List[List[Event]] = []  # the events of each attachment on the current branch
 
-    def search(frontier: List[int], events: List[Event], done: int) -> Optional[List[Event]]:
+    def search(frontier: List[int], done: int) -> bool:
         nonlocal attempts
         if done == all_done:
-            return events if not frontier else None
+            return not frontier
         key = (tuple(frontier), done)
         if key in failed:
-            return None
+            return False
         attempts += 1
         if attempts > _SWEEP_ATTEMPT_LIMIT:
             raise DiagramError("no planar sweep found (search budget exhausted)")
+        cands = seeds if seeds is not None and not done else _candidates(d, slots, frontier, done)
         scored = []
-        for cand in candidates(frontier, done):
+        for cand in cands:
             if cap is not None and _attach_width(len(frontier), cand[1]) > cap:
                 continue
-            f2, ev2 = attach(frontier, events, cand)
-            scored.append((len(f2), cand[0], cand[1], cand[2], cand[3], f2, ev2))
+            f2, ev = attach(frontier, cand)
+            scored.append((len(f2), cand[0], cand[1], cand[2], cand[3], f2, ev))
         # narrowest frontier first, then stored order: builders emit crossings
         # along the diagram spine, and sweeping in that order keeps the
         # intermediate complexes small (crossing a long cable sideways is
         # exponentially worse than walking along it)
         scored.sort(key=lambda t: t[:5])
-        for _, ci, _, _, _, f2, ev2 in scored:
-            res = search(f2, ev2, done | (1 << ci))
-            if res is not None:
-                return res
+        for _, ci, _, _, _, f2, ev in scored:
+            path.append(ev)
+            if search(f2, done | (1 << ci)):
+                return True
+            path.pop()
         failed.add(key)
-        return None
+        return False
 
-    res = search([], [], 0)
-    if res is None:
+    if not search([], 0):
         raise DiagramError("no planar sweep found for this diagram")
-    return res
+    return [e for ev in path for e in ev]
+
+
+def _arc_slots(d: PlanarDiagram) -> Dict[int, List[Tuple[int, int]]]:
+    """Each arc's (crossing, slot) ends."""
+    out: Dict[int, List[Tuple[int, int]]] = {}
+    for ci, arcs in enumerate(d.crossings):
+        for k, a in enumerate(arcs):
+            out.setdefault(a, []).append((ci, k))
+    return out
+
+
+def _candidates(
+    d: PlanarDiagram, slots: Dict[int, List[Tuple[int, int]]], frontier: List[int], done: int
+) -> List[Tuple]:
+    """Ways to attach an unswept crossing: (crossing, mode, position, rotation).
+
+    Rotation k names the crossing's two inputs, slots k and k+1.  Mode 0
+    starts on an empty frontier, mode 1 consumes two adjacent open ends,
+    modes 2 and 3 consume one open end (slot k or slot k+1) and cap its
+    partner.  Each open end is looked up in ``slots`` (``_arc_slots``).
+    """
+    if not frontier:
+        return [(ci, 0, 0, k) for ci in range(len(d.crossings)) if not done >> ci & 1 for k in range(4)]
+    out = []
+    last = len(frontier) - 1
+    for p, a in enumerate(frontier):
+        for ci, s in slots[a]:
+            if done >> ci & 1:
+                continue
+            arcs = d.crossings[ci]
+            nxt = arcs[(s + 1) % 4]
+            if p < last and frontier[p + 1] == nxt:
+                out.append((ci, 1, p, s))
+            if nxt != a:
+                out.append((ci, 2, p, s))
+            if arcs[(s - 1) % 4] != a:
+                out.append((ci, 3, p, (s - 1) % 4))
+    return out
 
 
 def _attach_width(width: int, mode: int) -> int:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotfill import scan
-from knotfill.catalog import get_entry
+from knotfill.catalog import get_entry, resolve_template
 from knotfill.diagram import (
     DiagramError,
     PlanarDiagram,
@@ -17,6 +18,7 @@ from knotfill.diagram import (
     unknot_diagram,
 )
 from knotfill.khovanov import (
+    DEFAULT_MAX_GENERATORS,
     BudgetError,
     KhTable,
     jones_from_kh,
@@ -280,21 +282,43 @@ def cached_entries():
     return sum(len(c) + sum(len(st.memo) for st in c.values()) for c in caches)
 
 
-def reduced_kh_against_direct_evaluation(d):
-    """Sweep ``d``, checking every memoized evaluation against a direct one."""
-    memoized = scan._apply
+def direct(st, fkeys, gkeys):
+    """XOR of the per-bit evaluations of ``st`` over two lists of key parts."""
+    out = 0
+    for f in fkeys:
+        for g in gkeys:
+            out ^= scan._evaluate(st.comps, f | g)
+    return out
 
-    def checked(st, masks, low):
-        got = memoized(st, masks, low)
-        want = 0
-        for m in range(masks.bit_length()):
-            if masks >> m & 1:
-                want ^= scan._evaluate(st.comps, m << scan._MASK_SHIFT | low)
+
+def bits(masks):
+    return [m for m in range(masks.bit_length()) if masks >> m & 1]
+
+
+def reduced_kh_against_direct_evaluation(d):
+    """Sweep ``d``, checking every memoized evaluation against direct ones.
+
+    The memos are keyed by whole mask bitsets, so each value must be the XOR
+    of ``_evaluate`` over the bits of the bitsets it was asked for.
+    """
+    lift, compose = scan._apply, scan._compose
+
+    def checked_lift(st, masks, low):
+        got = lift(st, masks, low)
+        want = direct(st, [m << scan._MASK_SHIFT for m in bits(masks)], [low])
         assert got == want, (st.comps, masks, low)
         return got
 
+    def checked_compose(st, fmasks, gmasks):
+        got = compose(st, fmasks, gmasks)
+        fkeys = [m << scan._MASK_SHIFT for m in bits(fmasks)]
+        want = direct(st, fkeys, [m << st.gshift for m in bits(gmasks)])
+        assert got == want, (st.comps, fmasks, gmasks)
+        return got
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scan, "_apply", checked)
+        mp.setattr(scan, "_apply", checked_lift)
+        mp.setattr(scan, "_compose", checked_compose)
         return scan_reduced_kh(d)
 
 
@@ -355,5 +379,125 @@ def test_cache_bound_holds_and_tables_survive_clears(monkeypatch):
 
 def test_scan_budget_enforced():
     d = closure("1,1,1")
-    with pytest.raises(BudgetError):
+    # the word is cap 0, cap 1, then the first crossing: event 2 doubles the
+    # two objects of a width-four frontier
+    assert compile_events(d)[2] == ("cross", 0, False)
+    with pytest.raises(BudgetError) as err:
         scan_reduced_kh(d, max_generators=1)
+    assert "at event 2 (cross at position 0, frontier width 4)" in str(err.value)
+
+
+# -- cancellation: identities are recorded as they appear ---------------------
+
+
+def identity_entries(cx):
+    """Every identity entry of ``cx``, found by a full rescan."""
+    return [
+        (a, b)
+        for a, row in cx.out.items()
+        for b, masks in row.items()
+        if masks & 1 and cx.obj[a][0] == cx.obj[b][0]
+    ]
+
+
+def sweep_checking_minimality(events):
+    """Sweep ``events``; after each one no identity entry may be left."""
+    cx = scan._ScanComplex(DEFAULT_MAX_GENERATORS)
+    for k, ev in enumerate(events):
+        cx.apply(ev)
+        assert not identity_entries(cx), (k, ev)
+    return cx
+
+
+@settings(max_examples=30, deadline=None)
+@given(braid_words())
+def test_no_identity_survives_an_event_property(spec):
+    d = braid_closure(parse_braid(spec))
+    cx = sweep_checking_minimality(compile_events(d))
+    raw = scan.unreduced_dims(cx.table(), d.n_plus, d.n_minus, d.free_loops)
+    assert raw == scan_unreduced_kh(d)
+
+
+def test_no_identity_survives_an_event_of_t1_template_word():
+    template = resolve_template(get_entry("T1"))
+    cx = sweep_checking_minimality(scan.template_word(template))
+    for ev in scan.TWIST[1], scan.TWIST[1]:
+        cx.apply(ev)
+        assert not identity_entries(cx)
+
+
+# -- the sweep search: candidates from the arc index --------------------------
+
+
+def candidates_by_scanning_every_crossing(d, frontier, done):
+    """Attachments found by trying every unswept crossing at every position."""
+    out = []
+    for ci in range(len(d.crossings)):
+        if done >> ci & 1:
+            continue
+        arcs = d.crossings[ci]
+        if not frontier:
+            out.extend((ci, 0, 0, k) for k in range(4))
+            continue
+        for k in range(4):
+            xk, xk1 = arcs[k], arcs[(k + 1) % 4]
+            for p, a in enumerate(frontier):
+                if a == xk and p + 1 < len(frontier) and frontier[p + 1] == xk1:
+                    out.append((ci, 1, p, k))
+                if xk != xk1:
+                    if a == xk:
+                        out.append((ci, 2, p, k))
+                    if a == xk1:
+                        out.append((ci, 3, p, k))
+    return out
+
+
+def search_checked_against_scan(monkeypatch, run):
+    """Run ``run()`` with every search node's candidates checked."""
+    indexed = scan._candidates
+    nodes = []
+
+    def checked(d, slots, frontier, done):
+        got = indexed(d, slots, frontier, done)
+        assert sorted(got) == sorted(candidates_by_scanning_every_crossing(d, frontier, done))
+        nodes.append(len(got))
+        return got
+
+    monkeypatch.setattr(scan, "_candidates", checked)
+    result = run()
+    assert nodes
+    return result
+
+
+@settings(max_examples=30, deadline=None)
+@given(braid_words())
+def test_arc_index_finds_every_candidate_property(spec):
+    d = braid_closure(parse_braid(spec))
+    with pytest.MonkeyPatch.context() as mp:
+        search_checked_against_scan(mp, lambda: compile_events(d))
+
+
+def test_arc_index_finds_every_candidate_on_plats(monkeypatch):
+    d = plat_closure(
+        6,
+        [-1, -1, 3, 3, 3, 5, 5, 5],
+        caps_top=[(2, 3), (4, 5), (1, 6)],
+        caps_bottom=[(2, 3), (4, 5), (1, 6)],
+    )
+    search_checked_against_scan(monkeypatch, lambda: compile_events(d))
+
+
+# length and sha256 of repr() of each template word, as the search over every
+# crossing found them
+TEMPLATE_WORDS = {
+    "T1": (70, "7beba36a0321938b767e16c11b6cef7b5ef1af27fc800f1cc5f4184a50354f1a"),
+    "T2": (66, "fc96965792f4aed3ff10ff566f6737e677095e9c2e2913b174fb04027b190c0f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_WORDS))
+def test_template_words_are_unchanged(monkeypatch, name):
+    template = resolve_template(get_entry(name))
+    word = search_checked_against_scan(monkeypatch, lambda: scan.template_word(template))
+    digest = hashlib.sha256(repr(word).encode()).hexdigest()
+    assert (len(word), digest) == TEMPLATE_WORDS[name]
