@@ -165,13 +165,6 @@ format_option = click.option(
     default="text",
     show_default=True,
 )
-threads_option = click.option(
-    "--threads",
-    type=int,
-    default=1,
-    show_default=True,
-    help="accepted for compatibility and ignored: every computation runs in one process.",
-)
 budget_option = click.option(
     "--max-generators",
     type=int,
@@ -191,8 +184,7 @@ def main() -> None:
 @input_options()
 @format_option
 @budget_option
-@threads_option
-def cmd_kh(pd_file, braid, catalog_name, template_file, slope, mirror_flag, fmt, max_generators, threads):
+def cmd_kh(pd_file, braid, catalog_name, template_file, slope, mirror_flag, fmt, max_generators):
     """Reduced Khovanov table of a diagram (GF(2) coefficients)."""
     _, d = _resolve_input(pd_file, braid, catalog_name, template_file, slope, mirror_flag)
     try:
@@ -318,9 +310,8 @@ def _parse_range(text: str) -> Tuple[int, int]:
 @input_options(with_slope=False)
 @click.option("--range", "n_range", metavar="LO..HI", help="explicit filling window.")
 @format_option
-@threads_option
 @budget_option
-def cmd_kappa(pd_file, braid, catalog_name, template_file, mirror_flag, n_range, fmt, threads, max_generators):
+def cmd_kappa(pd_file, braid, catalog_name, template_file, mirror_flag, n_range, fmt, max_generators):
     """Stable image of a twist family: transition slope and kappa table."""
     hint = 0
     if catalog_name is not None:
@@ -386,9 +377,8 @@ def cmd_validate(pd_file, braid, catalog_name, template_file, mirror_flag, fmt):
 
 @main.command("selftest")
 @click.option("--deep", is_flag=True, help="also run the slow family fixtures.")
-@threads_option
 @budget_option
-def cmd_selftest(deep, threads, max_generators):
+def cmd_selftest(deep, max_generators):
     """Recompute every catalog fixture and compare against the pinned value."""
     try:
         catalog = load_catalog()

@@ -16,13 +16,22 @@ Conventions used throughout the package:
 * Components are oriented by the lowest-arc rule: each component is traversed
   in the direction for which the successor of its lowest-labeled arc is the
   smaller of the two candidates.
+
+The PD-code combinatorics live here once.  ``merge_classes`` is the one
+union-find: it joins labels in pairs, names each class by its smallest
+label and counts the pairs that close a loop; the builders, smoothings,
+gluings and strand maps of the package all use it.  Every ``PlanarDiagram``
+stores its sorted ``arcs`` and its arc-end index ``arc_ends`` (each arc's
+two ``(crossing, slot)`` ends), computed once from the normalized
+crossings, so faces, checkerboards and the sweep search read them instead
+of rescanning the crossings.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "PlanarDiagram",
@@ -38,6 +47,7 @@ __all__ = [
     "unknot_diagram",
     "faces",
     "euler_check",
+    "merge_classes",
     "FORMAT_TAG",
 ]
 
@@ -53,6 +63,43 @@ class DiagramError(ValueError):
 
 def _rot(t: Crossing, k: int) -> Crossing:
     return (t[k % 4], t[(k + 1) % 4], t[(k + 2) % 4], t[(k + 3) % 4])
+
+
+def merge_classes(
+    labels: Iterable[int], pairs: Iterable[Tuple[int, int]]
+) -> Tuple[Dict[int, int], int]:
+    """Join the two labels of every pair; each must be one of ``labels``.
+
+    Returns ``(classes, closed)``: ``classes`` maps each label to the
+    smallest label of its class, and ``closed`` counts the pairs whose
+    labels were already joined, i.e. the loops the pairs close.  Neither
+    depends on the order of the pairs.
+    """
+    parent = {a: a for a in labels}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    closed = 0
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            closed += 1
+        elif rx < ry:
+            parent[ry] = rx
+        else:
+            parent[rx] = ry
+    return {a: find(a) for a in parent}, closed
+
+
+def _arc_ends(crossings: Sequence[Crossing]) -> Dict[int, List[Dart]]:
+    occ: Dict[int, List[Dart]] = {}
+    for ci, c in enumerate(crossings):
+        for s, a in enumerate(c):
+            occ.setdefault(a, []).append((ci, s))
+    return occ
 
 
 @dataclass(frozen=True)
@@ -73,10 +120,7 @@ class PlanarDiagram:
         crossings = tuple(tuple(int(x) for x in c) for c in self.crossings)
         if any(len(c) != 4 for c in crossings):
             raise DiagramError("each crossing needs exactly 4 arc labels")
-        occ: Dict[int, List[Dart]] = {}
-        for ci, c in enumerate(crossings):
-            for s, a in enumerate(c):
-                occ.setdefault(a, []).append((ci, s))
+        occ = _arc_ends(crossings)
         for a, ends in occ.items():
             if len(ends) != 2:
                 raise DiagramError(
@@ -89,7 +133,10 @@ class PlanarDiagram:
             crossings = tuple(
                 _rot(c, 2) if i in flips else c for i, c in enumerate(crossings)
             )
+            occ = _arc_ends(crossings)
         object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "_arc_ends", occ)
+        object.__setattr__(self, "_arcs", tuple(sorted(occ)))
         object.__setattr__(self, "_components", comps)
         object.__setattr__(self, "_over_db", over_db)
         if self.basepoint is not None and self.basepoint not in occ:
@@ -99,7 +146,13 @@ class PlanarDiagram:
 
     @property
     def arcs(self) -> Tuple[int, ...]:
-        return tuple(sorted({a for c in self.crossings for a in c}))
+        return self._arcs  # type: ignore[attr-defined]
+
+    @property
+    def arc_ends(self) -> Dict[int, List[Dart]]:
+        """Each arc's two ``(crossing, slot)`` ends in the stored crossings,
+        in the order a scan of the crossings meets them.  Read only."""
+        return self._arc_ends  # type: ignore[attr-defined]
 
     @property
     def components(self) -> Tuple[Tuple[int, ...], ...]:
@@ -301,29 +354,19 @@ class _Sweep:
     def __init__(self):
         self.crossings: List[Crossing] = []
         self.next_arc = 1
-        self.uf: Dict[int, int] = {}
-        self.loops = 0
+        self.glued: List[Tuple[int, int]] = []
 
     def fresh(self) -> int:
         a = self.next_arc
         self.next_arc += 1
-        self.uf[a] = a
         return a
 
-    def find(self, x: int) -> int:
-        r = x
-        while self.uf[r] != r:
-            r = self.uf[r]
-        while self.uf[x] != r:
-            self.uf[x], x = r, self.uf[x]
-        return r
-
     def glue(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            self.loops += 1
-        else:
-            self.uf[max(rx, ry)] = min(rx, ry)
+        self.glued.append((x, y))
+
+    def classes(self) -> Tuple[Dict[int, int], int]:
+        """Each arc's class after gluing, and the loops the gluing closed."""
+        return merge_classes(range(1, self.next_arc), self.glued)
 
     def crossing(self, left_arc: int, right_arc: int, positive: bool):
         """Cross two adjacent wires; returns their outgoing arcs (left, right).
@@ -334,22 +377,20 @@ class _Sweep:
         self.crossings.append(_emit_crossing(left_arc, right_arc, lo, ro, positive))
         return ro, lo
 
-    def finish(self, name="", basepoint_raw=None, extra_loops=0) -> PlanarDiagram:
+    def finish(self, name="", basepoint_raw=None) -> PlanarDiagram:
+        rep, loops = self.classes()
+        if not self.crossings:
+            return unknot_diagram(loops, name=name)
         table: Dict[int, int] = {}
 
         def label(a: int) -> int:
-            r = self.find(a)
-            if r not in table:
-                table[r] = len(table) + 1
-            return table[r]
+            return table.setdefault(rep[a], len(table) + 1)
 
         out = tuple(tuple(label(a) for a in c) for c in self.crossings)
         bp = None
         if basepoint_raw is not None:
-            bp = table.get(self.find(basepoint_raw))
-        return PlanarDiagram(
-            out, free_loops=self.loops + extra_loops, basepoint=bp, name=name
-        )
+            bp = table.get(rep[basepoint_raw])
+        return PlanarDiagram(out, free_loops=loops, basepoint=bp, name=name)
 
 
 def braid_closure(braid: BraidWord, name: str = "") -> PlanarDiagram:
@@ -362,8 +403,6 @@ def braid_closure(braid: BraidWord, name: str = "") -> PlanarDiagram:
         cur[i], cur[i + 1] = sw.crossing(cur[i], cur[i + 1], w > 0)
     for i in range(braid.strands):
         sw.glue(cur[i], bottom[i])
-    if not sw.crossings:
-        return unknot_diagram(sw.loops, name=name)
     return sw.finish(name=name, basepoint_raw=bottom[0])
 
 
@@ -394,8 +433,6 @@ def plat_closure(
         cur[i], cur[i + 1] = sw.crossing(cur[i], cur[i + 1], w > 0)
     for p, q in caps_top:
         sw.glue(cur[p - 1], cur[q - 1])
-    if not sw.crossings:
-        return unknot_diagram(sw.loops, name=name)
     return sw.finish(name=name)
 
 
@@ -453,30 +490,16 @@ def resolve_crossing(d: PlanarDiagram, index: int, kind: int) -> PlanarDiagram:
         raise DiagramError("smoothing kind must be 0 or 1")
     a, b, c, dd = d.crossings[index]
     pairs = ((a, b), (c, dd)) if kind == 0 else ((a, dd), (b, c))
-    uf = {x: x for cr in d.crossings for x in cr}
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    loops = d.free_loops
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            loops += 1
-        else:
-            uf[max(rx, ry)] = min(rx, ry)
+    rep, closed = merge_classes(d.arcs, pairs)
     rest = tuple(
-        tuple(find(x) for x in cr) for i, cr in enumerate(d.crossings) if i != index
+        tuple(rep[x] for x in cr) for i, cr in enumerate(d.crossings) if i != index
     )
     bp = d.basepoint
     if bp is not None:
-        bp = find(bp)
+        bp = rep[bp]
         if not any(bp in cr for cr in rest):
             bp = None
-    return PlanarDiagram(rest, free_loops=loops, basepoint=bp, name=d.name)
+    return PlanarDiagram(rest, free_loops=d.free_loops + closed, basepoint=bp, name=d.name)
 
 
 def smoothing_circles(d: PlanarDiagram, v: Sequence[int]):
@@ -488,30 +511,15 @@ def smoothing_circles(d: PlanarDiagram, v: Sequence[int]):
     """
     if len(v) != len(d.crossings):
         raise DiagramError("smoothing vector length must equal crossing count")
-    uf = {a: a for a in d.arcs}
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            uf[max(rx, ry)] = min(rx, ry)
-
-    for bit, (a, b, c, dd) in zip(v, d.crossings):
-        if bit == 0:
-            union(a, b)
-            union(c, dd)
-        else:
-            union(a, dd)
-            union(b, c)
-    reps = sorted({find(a) for a in d.arcs})
+    pairs = [
+        pair
+        for bit, (a, b, c, dd) in zip(v, d.crossings)
+        for pair in (((a, dd), (b, c)) if bit else ((a, b), (c, dd)))
+    ]
+    rep, _ = merge_classes(d.arcs, pairs)
+    reps = sorted(set(rep.values()))
     index = {r: i for i, r in enumerate(reps)}
-    assignment = {a: index[find(a)] for a in d.arcs}
-    return len(reps) + d.free_loops, assignment
+    return len(reps) + d.free_loops, {a: index[r] for a, r in rep.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +533,10 @@ def faces(d: PlanarDiagram) -> List[List[Dart]]:
     counterclockwise".  For planar diagram data, V - E + F = 2 per connected
     piece of the underlying 4-valent graph.
     """
-    occ: Dict[int, List[Dart]] = {}
-    for ci, c in enumerate(d.crossings):
-        for s, a in enumerate(c):
-            occ.setdefault(a, []).append((ci, s))
     other: Dict[Dart, Dart] = {}
-    for ends in occ.values():
-        other[ends[0]] = ends[1]
-        other[ends[1]] = ends[0]
+    for e0, e1 in d.arc_ends.values():
+        other[e0] = e1
+        other[e1] = e0
     out = []
     seen = set()
     for ci in range(len(d.crossings)):
@@ -562,21 +566,6 @@ def euler_check(d: PlanarDiagram) -> bool:
 
 
 def _graph_components(d: PlanarDiagram) -> int:
-    parent = list(range(len(d.crossings)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    occ: Dict[int, List[int]] = {}
-    for ci, c in enumerate(d.crossings):
-        for a in c:
-            occ.setdefault(a, []).append(ci)
-    for cs in occ.values():
-        for other_c in cs[1:]:
-            rx, ry = find(cs[0]), find(other_c)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    return len({find(i) for i in range(len(d.crossings))})
+    links = ((e0[0], e1[0]) for e0, e1 in d.arc_ends.values())
+    rep, _ = merge_classes(range(len(d.crossings)), links)
+    return len(set(rep.values()))

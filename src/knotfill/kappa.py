@@ -286,6 +286,11 @@ class _TwistFamily:
     def tables(self, wanted: Iterable[int]) -> Dict[int, KhTable]:
         return {n: self.table(n) for n in sorted(set(wanted))}
 
+    def fills_after(self, lo: int, hi: int) -> int:
+        """How many fills are computed once ``lo..hi`` are: each edge passes
+        every fill between 0 and the fill it reaches."""
+        return max(hi, 0, *self.raw) - min(lo, 0, *self.raw) + 1
+
     def table(self, n: int) -> KhTable:
         self._reach(n)
         raw = scan.unreduced_dims(self.raw[n], *_fill_counts(self.counts, n))
@@ -502,28 +507,26 @@ def kappa_for_template(
     step is missing altogether, the side that lacks it grows by an extension
     that doubles on each attempt (5, 10, 20, ...).  Once the transition
     shows, a side with fewer than ``MARGIN`` monotone steps grows by just the
-    steps it lacks, since each new fill there adds at most one.  At most
-    ``MAX_FILLS`` tables are computed.  The final family always reaches the
-    zero fill so the quantum normalization is anchored.  All fills come from
-    one ``_TwistFamily``, so widening the window extends its edge complexes
-    instead of sweeping the new fills from scratch.
+    steps it lacks, since each new fill there adds at most one.  The final
+    family always reaches the zero fill so the quantum normalization is
+    anchored.  All fills come from one ``_TwistFamily``, so widening the
+    window extends its edge complexes instead of sweeping the new fills from
+    scratch.
+
+    ``MAX_FILLS`` bounds the fill tables computed.  It counts every fill
+    between 0 and the window, since the shared sweep passes each of them on
+    its way out, so a window far from 0 costs its distance from 0.  A window
+    that would take more raises ``BudgetError`` before any of it is computed.
     """
     lo, hi = hint - 5, hint + 5
     grow_lo = grow_hi = 5
     family = _TwistFamily(template, max_generators)
-    tables: Dict[int, KhTable] = {}
-
-    def ensure(a: int, b: int):
-        missing = [n for n in range(a, b + 1) if n not in tables]
-        if len(tables) + len(missing) > MAX_FILLS:
+    while True:
+        if family.fills_after(lo, hi) > MAX_FILLS:
             raise BudgetError(
                 f"transition not found within {MAX_FILLS} fills of {template.name!r}"
             )
-        tables.update(family.tables(missing))
-
-    while True:
-        ensure(lo, hi)
-        fam = FillingFamily(template, lo, hi, {n: tables[n] for n in range(lo, hi + 1)})
+        fam = FillingFamily(template, lo, hi, family.tables(range(lo, hi + 1)))
         try:
             profile = find_transition(fam)  # classifies every step, or raises StepError
         except TransitionError as err:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .diagram import PlanarDiagram, faces
+from .diagram import PlanarDiagram, faces, merge_classes
 from .poly import LaurentPoly
 
 __all__ = [
@@ -130,21 +130,10 @@ def _lagrange(points: List[Tuple[int, int]]) -> List[Fraction]:
 
 def _wirtinger_strands(d: PlanarDiagram) -> Dict[int, int]:
     """Map each arc to its over-strand id (arcs glued through over-passages)."""
-    parent = {a: a for a in d.arcs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (_, b, _, dd) in d.crossings:
-        rb, rd = find(b), find(dd)
-        if rb != rd:
-            parent[max(rb, rd)] = min(rb, rd)
-    reps = sorted({find(a) for a in d.arcs})
+    rep, _ = merge_classes(d.arcs, ((b, dd) for _, b, _, dd in d.crossings))
+    reps = sorted(set(rep.values()))
     idx = {r: i for i, r in enumerate(reps)}
-    return {a: idx[find(a)] for a in d.arcs}
+    return {a: idx[r] for a, r in rep.items()}
 
 
 def alexander(d: PlanarDiagram) -> AlexanderPoly:
@@ -214,14 +203,10 @@ def _checkerboard(d: PlanarDiagram):
         for dart in f:
             face_of[dart] = fi
     # the two sides of an arc are the faces through its two end-darts
-    occ: Dict[int, List[Tuple[int, int]]] = {}
-    for ci, c in enumerate(d.crossings):
-        for s, a in enumerate(c):
-            occ.setdefault(a, []).append((ci, s))
     adj: Dict[int, set] = {i: set() for i in range(len(fs))}
-    for ends in occ.values():
-        f1 = face_of[ends[0]]
-        f2 = face_of[ends[1]]
+    for e1, e2 in d.arc_ends.values():
+        f1 = face_of[e1]
+        f2 = face_of[e2]
         adj[f1].add(f2)
         adj[f2].add(f1)
     color = {0: 0}

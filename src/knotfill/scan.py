@@ -690,7 +690,6 @@ def _search_sweep(
     if n == 0:
         return []
     all_done = (1 << n) - 1
-    slots = _arc_slots(d)
 
     def attach(frontier: List[int], cand: Tuple) -> Tuple[List[int], List[Event]]:
         ci, mode, p, k = cand
@@ -735,7 +734,7 @@ def _search_sweep(
         attempts += 1
         if attempts > _SWEEP_ATTEMPT_LIMIT:
             raise DiagramError("no planar sweep found (search budget exhausted)")
-        cands = seeds if seeds is not None and not done else _candidates(d, slots, frontier, done)
+        cands = seeds if seeds is not None and not done else _candidates(d, frontier, done)
         scored = []
         for cand in cands:
             if cap is not None and _attach_width(len(frontier), cand[1]) > cap:
@@ -760,31 +759,21 @@ def _search_sweep(
     return [e for ev in path for e in ev]
 
 
-def _arc_slots(d: PlanarDiagram) -> Dict[int, List[Tuple[int, int]]]:
-    """Each arc's (crossing, slot) ends."""
-    out: Dict[int, List[Tuple[int, int]]] = {}
-    for ci, arcs in enumerate(d.crossings):
-        for k, a in enumerate(arcs):
-            out.setdefault(a, []).append((ci, k))
-    return out
-
-
-def _candidates(
-    d: PlanarDiagram, slots: Dict[int, List[Tuple[int, int]]], frontier: List[int], done: int
-) -> List[Tuple]:
+def _candidates(d: PlanarDiagram, frontier: List[int], done: int) -> List[Tuple]:
     """Ways to attach an unswept crossing: (crossing, mode, position, rotation).
 
     Rotation k names the crossing's two inputs, slots k and k+1.  Mode 0
     starts on an empty frontier, mode 1 consumes two adjacent open ends,
     modes 2 and 3 consume one open end (slot k or slot k+1) and cap its
-    partner.  Each open end is looked up in ``slots`` (``_arc_slots``).
+    partner.  Each open end is looked up in the diagram's ``arc_ends``.
     """
     if not frontier:
         return [(ci, 0, 0, k) for ci in range(len(d.crossings)) if not done >> ci & 1 for k in range(4)]
     out = []
     last = len(frontier) - 1
+    ends = d.arc_ends
     for p, a in enumerate(frontier):
-        for ci, s in slots[a]:
+        for ci, s in ends[a]:
             if done >> ci & 1:
                 continue
             arcs = d.crossings[ci]

@@ -227,11 +227,12 @@ class _CableSweep(_Sweep):
     def finish_template(self, name: str) -> TangleTemplate:
         # hole corners follow the knocked-out-crossing convention of the
         # filling layer, which reads the four stubs mirrored left-to-right
+        rep, loops = self.classes()
         return TangleTemplate(
             name=name,
-            crossings=tuple(tuple(self.find(a) for a in c) for c in self.crossings),
-            ends=tuple(self.find(a) for a in self.hole),
-            free_loops=self.loops,
+            crossings=tuple(tuple(rep[a] for a in c) for c in self.crossings),
+            ends=tuple(rep[a] for a in self.hole),
+            free_loops=loops,
         )
 
 

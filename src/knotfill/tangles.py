@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .diagram import Crossing, DiagramError, PlanarDiagram, _emit_crossing
+from .diagram import Crossing, DiagramError, PlanarDiagram, _emit_crossing, merge_classes
 
 __all__ = [
     "INFINITY",
@@ -54,12 +54,14 @@ def parse_slope(value: SlopeLike) -> Slope:
     """Normalize ints, Fractions, ``(p, q)`` pairs, or strings like ``"-3/2"``."""
     if isinstance(value, str):
         text = value.strip().lower()
-        if text in ("inf", "-inf", "infinity", "1/0"):
+        if text in ("inf", "-inf", "infinity"):
             return INFINITY
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return parse_slope(Fraction(int(num), int(den)))
-        return parse_slope(int(text))
+        num, sep, den = text.partition("/")
+        try:
+            pair = (int(num), int(den) if sep else 1)
+        except ValueError:
+            raise DiagramError(f"slope {value!r} is not p/q, an integer or inf") from None
+        return parse_slope(pair)
     if isinstance(value, float):
         if value in (inf, -inf):
             return INFINITY
@@ -317,32 +319,14 @@ def fill(template: TangleTemplate, slope: SlopeLike, name: str = "") -> PlanarDi
 
     ins_crossings, ins_ends = _insert(p, q, fresh)
 
-    # glue corner to corner with a union-find over arc labels
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    loops = 0
-    for t_arc, i_arc in zip(template.ends, ins_ends):
-        rt, ri = find(t_arc), find(i_arc)
-        if rt == ri:
-            loops += 1
-        else:
-            parent[max(rt, ri)] = min(rt, ri)
-
-    crossings = [
-        tuple(find(a) for a in c)
+    # glue corner to corner
+    rep, loops = merge_classes((*template.ends, *ins_ends), zip(template.ends, ins_ends))
+    crossings = tuple(
+        tuple(rep.get(a, a) for a in c)
         for c in (*template.crossings, *ins_crossings)
-    ]
+    )
     return PlanarDiagram(
-        tuple(crossings),
+        crossings,
         free_loops=template.free_loops + loops,
         name=name or f"{template.name}({slope_text((p, q))})",
     )

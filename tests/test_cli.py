@@ -163,6 +163,13 @@ def test_kappa_bad_range(run):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("command", ["kh", "kappa", "selftest"])
+def test_threads_is_no_option(run, command):
+    result = run(command, "--threads", "2", ok=False)
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--threads" in result.output
+
+
 def test_validate_ok(run):
     out = run("validate", "--catalog", "trivial").output
     assert "FAIL" not in out

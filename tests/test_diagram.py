@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from knotfill.diagram import (
     BraidWord,
     DiagramError,
+    PlanarDiagram,
     braid_closure,
     euler_check,
     faces,
+    merge_classes,
     mirror,
     parse_braid,
     parse_pd,
@@ -196,6 +198,18 @@ def test_resolve_matches_full_smoothing_counts():
         assert step.n_components == smoothing_circles(d, v)[0]
 
 
+def test_merge_classes_names_classes_by_smallest_label_and_counts_loops():
+    pairs = [(5, 3), (3, 1), (6, 7), (1, 5), (7, 6), (9, 2)]
+    classes, closed = merge_classes(range(1, 10), pairs)
+    # 4 and 8 join nothing
+    assert classes == {1: 1, 2: 2, 3: 1, 4: 4, 5: 1, 6: 6, 7: 6, 8: 8, 9: 2}
+    # (1, 5) and (7, 6) join labels that are already joined
+    assert closed == 2
+    assert merge_classes(range(1, 10), reversed(pairs)) == (classes, closed)
+    # a pair of one label closes a loop on its own
+    assert merge_classes([4], [(4, 4)]) == ({4: 4}, 1)
+
+
 # -- faces ---------------------------------------------------------------------
 
 
@@ -271,6 +285,31 @@ def test_total_smoothing_degrees(b):
         v = [0] * n
         v[i] = 1
         assert abs(smoothing_circles(d, tuple(v))[0] - all0) == 1
+
+
+def scanned_arc_ends(crossings):
+    out = {}
+    for ci, c in enumerate(crossings):
+        for s, a in enumerate(c):
+            out.setdefault(a, []).append((ci, s))
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(braid_words())
+def test_stored_arc_ends_match_a_rescan_of_the_normalized_crossings(b):
+    d = braid_closure(b)
+    # every tuple turned half way round names its under-strand's exit first,
+    # so the orientation flips each crossing back on construction
+    turned_tuples = tuple(c[2:] + c[:2] for c in d.crossings)
+    turned = PlanarDiagram(turned_tuples, free_loops=d.free_loops)
+    for e in (d, turned):
+        assert list(e.arc_ends.items()) == list(scanned_arc_ends(e.crossings).items())
+        assert e.arcs == tuple(sorted({a for c in e.crossings for a in c}))
+    if d.crossings and all(len(comp) >= 3 for comp in d.components):
+        # 2-arc components may keep either direction; all others flip back
+        assert turned.crossings == d.crossings
+        assert turned.arc_ends != scanned_arc_ends(turned_tuples)
 
 
 def test_unknot_diagram_defaults():

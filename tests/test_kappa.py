@@ -326,6 +326,22 @@ class TestDriver:
         with pytest.raises(BudgetError):
             kappa_for_template(RAILS)
 
+    def test_fill_budget_counts_every_fill_the_sweep_passes(self, monkeypatch):
+        # RAILS is the catalog's ``trivial`` template.  The window 145..155
+        # needs fills 0..155 from the shared sweep, more than MAX_FILLS, so
+        # the driver refuses it before closing a single fill
+        closed = []
+        close = _TwistFamily._close
+
+        def counted(cx, events):
+            closed.append(events)
+            return close(cx, events)
+
+        monkeypatch.setattr(_TwistFamily, "_close", staticmethod(counted))
+        with pytest.raises(BudgetError, match="within 120 fills"):
+            kappa_for_template(RAILS, hint=150)
+        assert len(closed) <= kappa_module.MAX_FILLS
+
     def test_reported_widths_cover_the_window(self):
         run = kappa_for_template(RAILS)
         widths = run.family.widths()

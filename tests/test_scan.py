@@ -457,8 +457,8 @@ def search_checked_against_scan(monkeypatch, run):
     indexed = scan._candidates
     nodes = []
 
-    def checked(d, slots, frontier, done):
-        got = indexed(d, slots, frontier, done)
+    def checked(d, frontier, done):
+        got = indexed(d, frontier, done)
         assert sorted(got) == sorted(candidates_by_scanning_every_crossing(d, frontier, done))
         nodes.append(len(got))
         return got

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,8 +51,18 @@ class TestParseSlope:
         assert parse_slope((0, 7)) == (0, 1)
 
     def test_rejects_zero_over_zero(self):
-        with pytest.raises(DiagramError):
-            parse_slope((0, 0))
+        for value in ((0, 0), "0/0"):
+            with pytest.raises(DiagramError, match="slope 0/0 is not a tangle"):
+                parse_slope(value)
+
+    def test_text_reads_like_its_pair(self):
+        for text, pair in [("2/0", (2, 0)), ("-1/0", (-1, 0)), ("6/-4", (6, -4)), ("0/7", (0, 7))]:
+            assert parse_slope(text) == parse_slope(pair)
+
+    def test_rejects_non_numeric_text(self):
+        for text in ("x", "1.5", "3/", "/2", "1/2/3", ""):
+            with pytest.raises(DiagramError, match=re.escape(repr(text))):
+                parse_slope(text)
 
     def test_rejects_plain_floats(self):
         with pytest.raises(DiagramError):
